@@ -175,17 +175,36 @@ fn smo_train(
     if n < 2 {
         return None;
     }
-    let c = params.cost;
-    let tol = 1e-3;
-    let max_passes = 8;
-    let max_total_iters = 300 * n; // hard cap keeps SMAC loops bounded
-    let mut alpha = vec![0.0f64; n];
-    let mut bias = 0.0f64;
-    let mut rng = StdRng::seed_from_u64(0xD1CE ^ (pos as u64) << 16 ^ neg as u64);
-    // Precompute the kernel sub-matrix (n ≤ a few hundred in this workspace).
-    // The O(n²·d) build dominates small-trial cost, so it honours the opt-in
-    // f32 path: rows are rounded once, kernels run on f32 lanes with f64
-    // accumulators.
+    let kmat = kernel_matrix(params, x, sub);
+    let (alpha, mut bias) = smo_solve(&kmat, y, params.cost, pair_seed(pos, neg));
+    let mut sv_rows = Vec::new();
+    let mut alpha_y = Vec::new();
+    for (t, &a) in alpha.iter().enumerate() {
+        if a > 1e-8 {
+            sv_rows.push(sub[t]);
+            alpha_y.push(a * y[t]);
+        }
+    }
+    if sv_rows.is_empty() {
+        // Degenerate solve: fall back to a bias-only machine voting for the
+        // majority of this pair.
+        let pos_count = y.iter().filter(|&&v| v > 0.0).count();
+        bias = if pos_count * 2 >= n { 1.0 } else { -1.0 };
+    }
+    Some(BinarySvm { sv_rows, alpha_y, bias, pos, neg })
+}
+
+/// Seed of the SMO partner-selection stream for the pair `pos` vs `neg`.
+fn pair_seed(pos: u32, neg: u32) -> u64 {
+    0xD1CE ^ (pos as u64) << 16 ^ neg as u64
+}
+
+/// The symmetric kernel sub-matrix over the rows `sub` of `x`, row-major
+/// (n ≤ a few hundred in this workspace). The O(n²·d) build dominates
+/// small-trial cost, so it honours the opt-in f32 path: rows are rounded
+/// once, kernels run on f32 lanes with f64 accumulators.
+fn kernel_matrix(params: &Svm, x: &Matrix, sub: &[usize]) -> Vec<f64> {
+    let n = sub.len();
     let mut kmat = vec![0.0f64; n * n];
     if kernels::use_f32_path() {
         let d = x.cols();
@@ -209,12 +228,35 @@ fn smo_train(
             }
         }
     }
-    let f = |alpha: &[f64], bias: f64, kmat: &[f64], y: &[f64], i: usize| -> f64 {
+    kmat
+}
+
+/// The SMO iteration over a precomputed `n × n` kernel matrix: returns the
+/// multipliers and the bias.
+///
+/// The decision function `f(i) = bias + Σ_t α_t·y_t·K(t, i)` is evaluated
+/// twice per step, so it only walks the multipliers that are non-zero —
+/// kept as an ascending index list with `α_t·y_t` cached beside it — and
+/// reads row `i` of the symmetric matrix instead of column `i`. The terms
+/// and their summation order are those of a full ascending scan that
+/// skips zero multipliers, so the result is bit-identical to one (pinned
+/// by `active_set_smo_is_bit_identical_to_the_full_scan`).
+fn smo_solve(kmat: &[f64], y: &[f64], c: f64, seed: u64) -> (Vec<f64>, f64) {
+    let n = y.len();
+    let tol = 1e-3;
+    let max_passes = 8;
+    let max_total_iters = 300 * n; // hard cap keeps SMAC loops bounded
+    let mut alpha = vec![0.0f64; n];
+    let mut bias = 0.0f64;
+    let mut rng = StdRng::seed_from_u64(seed);
+    // Ascending indices `t` with `alpha[t] != 0.0`, and `alpha[t] * y[t]`.
+    let mut active: Vec<usize> = Vec::new();
+    let mut ay = vec![0.0f64; n];
+    let f = |active: &[usize], ay: &[f64], bias: f64, i: usize| -> f64 {
+        let row = &kmat[i * n..(i + 1) * n];
         let mut s = bias;
-        for (t, &a) in alpha.iter().enumerate() {
-            if a != 0.0 {
-                s += a * y[t] * kmat[t * n + i];
-            }
+        for &t in active {
+            s += ay[t] * row[t];
         }
         s
     };
@@ -229,14 +271,14 @@ fn smo_train(
         let mut changed = 0;
         for i in 0..n {
             total += 1;
-            let ei = f(&alpha, bias, &kmat, y, i) - y[i];
+            let ei = f(&active, &ay, bias, i) - y[i];
             if (y[i] * ei < -tol && alpha[i] < c) || (y[i] * ei > tol && alpha[i] > 0.0) {
                 // Pick a random j ≠ i.
                 let mut j = rng.gen_range(0..n - 1);
                 if j >= i {
                     j += 1;
                 }
-                let ej = f(&alpha, bias, &kmat, y, j) - y[j];
+                let ej = f(&active, &ay, bias, j) - y[j];
                 let (ai_old, aj_old) = (alpha[i], alpha[j]);
                 let (lo, hi) = if (y[i] - y[j]).abs() > 1e-12 {
                     ((aj_old - ai_old).max(0.0), (c + aj_old - ai_old).min(c))
@@ -256,8 +298,17 @@ fn smo_train(
                     continue;
                 }
                 let ai = ai_old + y[i] * y[j] * (aj_old - aj);
-                alpha[i] = ai;
-                alpha[j] = aj;
+                for (t, a) in [(i, ai), (j, aj)] {
+                    alpha[t] = a;
+                    ay[t] = a * y[t];
+                    match (active.binary_search(&t), a != 0.0) {
+                        (Err(at), true) => active.insert(at, t),
+                        (Ok(at), false) => {
+                            active.remove(at);
+                        }
+                        _ => {}
+                    }
+                }
                 let b1 = bias - ei
                     - y[i] * (ai - ai_old) * kmat[i * n + i]
                     - y[j] * (aj - aj_old) * kmat[i * n + j];
@@ -280,21 +331,7 @@ fn smo_train(
             passes = 0;
         }
     }
-    let mut sv_rows = Vec::new();
-    let mut alpha_y = Vec::new();
-    for (t, &a) in alpha.iter().enumerate() {
-        if a > 1e-8 {
-            sv_rows.push(sub[t]);
-            alpha_y.push(a * y[t]);
-        }
-    }
-    if sv_rows.is_empty() {
-        // Degenerate solve: fall back to a bias-only machine voting for the
-        // majority of this pair.
-        let pos_count = y.iter().filter(|&&v| v > 0.0).count();
-        bias = if pos_count * 2 >= n { 1.0 } else { -1.0 };
-    }
-    Some(BinarySvm { sv_rows, alpha_y, bias, pos, neg })
+    (alpha, bias)
 }
 
 impl TrainedModel for TrainedSvm {
@@ -324,6 +361,7 @@ impl TrainedModel for TrainedSvm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use smartml_data::accuracy;
     use smartml_data::synth::{gaussian_blobs, two_spirals};
 
@@ -385,6 +423,132 @@ mod tests {
         let cfg = ParamConfig::default().with("kernel", crate::params::ParamValue::Cat("linear".into()));
         assert_eq!(Svm::from_config(&cfg).kernel, Kernel::Linear);
         assert_eq!(Svm::from_config(&ParamConfig::default()).kernel, Kernel::Radial);
+    }
+
+    /// The solver as it was before the active set: `f(i)` scans every
+    /// multiplier behind an `a != 0.0` branch and reads the kernel matrix
+    /// by column. Kept only as the bit-identity oracle for [`smo_solve`].
+    fn smo_solve_full_scan(kmat: &[f64], y: &[f64], c: f64, seed: u64) -> (Vec<f64>, f64) {
+        let n = y.len();
+        let tol = 1e-3;
+        let max_passes = 8;
+        let max_total_iters = 300 * n;
+        let mut alpha = vec![0.0f64; n];
+        let mut bias = 0.0f64;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let f = |alpha: &[f64], bias: f64, i: usize| -> f64 {
+            let mut s = bias;
+            for (t, &a) in alpha.iter().enumerate() {
+                if a != 0.0 {
+                    s += a * y[t] * kmat[t * n + i];
+                }
+            }
+            s
+        };
+        let mut passes = 0;
+        let mut total = 0usize;
+        while passes < max_passes && total < max_total_iters {
+            let mut changed = 0;
+            for i in 0..n {
+                total += 1;
+                let ei = f(&alpha, bias, i) - y[i];
+                if (y[i] * ei < -tol && alpha[i] < c) || (y[i] * ei > tol && alpha[i] > 0.0) {
+                    let mut j = rng.gen_range(0..n - 1);
+                    if j >= i {
+                        j += 1;
+                    }
+                    let ej = f(&alpha, bias, j) - y[j];
+                    let (ai_old, aj_old) = (alpha[i], alpha[j]);
+                    let (lo, hi) = if (y[i] - y[j]).abs() > 1e-12 {
+                        ((aj_old - ai_old).max(0.0), (c + aj_old - ai_old).min(c))
+                    } else {
+                        ((ai_old + aj_old - c).max(0.0), (ai_old + aj_old).min(c))
+                    };
+                    if hi - lo < 1e-12 {
+                        continue;
+                    }
+                    let eta = 2.0 * kmat[i * n + j] - kmat[i * n + i] - kmat[j * n + j];
+                    if eta >= -1e-12 {
+                        continue;
+                    }
+                    let mut aj = aj_old - y[j] * (ei - ej) / eta;
+                    aj = aj.clamp(lo, hi);
+                    if (aj - aj_old).abs() < 1e-7 {
+                        continue;
+                    }
+                    let ai = ai_old + y[i] * y[j] * (aj_old - aj);
+                    alpha[i] = ai;
+                    alpha[j] = aj;
+                    let b1 = bias - ei
+                        - y[i] * (ai - ai_old) * kmat[i * n + i]
+                        - y[j] * (aj - aj_old) * kmat[i * n + j];
+                    let b2 = bias - ej
+                        - y[i] * (ai - ai_old) * kmat[i * n + j]
+                        - y[j] * (aj - aj_old) * kmat[j * n + j];
+                    bias = if ai > 0.0 && ai < c {
+                        b1
+                    } else if aj > 0.0 && aj < c {
+                        b2
+                    } else {
+                        0.5 * (b1 + b2)
+                    };
+                    changed += 1;
+                }
+            }
+            if changed == 0 {
+                passes += 1;
+            } else {
+                passes = 0;
+            }
+        }
+        (alpha, bias)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+        /// Every one-vs-one subproblem of a random dataset, under every
+        /// kernel and seven decades of cost: the active-set solver returns
+        /// the multipliers and bias of the full scan, bit for bit.
+        #[test]
+        fn active_set_smo_is_bit_identical_to_the_full_scan(
+            kernel in 0usize..4,
+            n_classes in 2usize..6,
+            log_cost in -3.0..3.0f64,
+            log_gamma in -3.0..1.0f64,
+            spread in 0.3..2.5f64,
+            data_seed in 0u64..1_000,
+        ) {
+            let kernel = [Kernel::Linear, Kernel::Radial, Kernel::Polynomial, Kernel::Sigmoid][kernel];
+            let params = Svm {
+                kernel,
+                cost: 10f64.powf(log_cost),
+                gamma: 10f64.powf(log_gamma),
+                degree: 3,
+                coef0: 0.5,
+            };
+            let d = gaussian_blobs("p", 30 * n_classes, 4, n_classes, spread, data_seed);
+            let rows = d.all_rows();
+            let (_, x) = DenseEncoder::fit(&d, &rows, true);
+            let labels = d.labels_for(&rows);
+            for pos in 0..n_classes as u32 {
+                for neg in pos + 1..n_classes as u32 {
+                    let sub: Vec<usize> =
+                        (0..labels.len()).filter(|&r| labels[r] == pos || labels[r] == neg).collect();
+                    let y: Vec<f64> =
+                        sub.iter().map(|&r| if labels[r] == pos { 1.0 } else { -1.0 }).collect();
+                    let kmat = kernel_matrix(&params, &x, &sub);
+                    let seed = pair_seed(pos, neg);
+                    let (alpha, bias) = smo_solve(&kmat, &y, params.cost, seed);
+                    let (want_alpha, want_bias) = smo_solve_full_scan(&kmat, &y, params.cost, seed);
+                    prop_assert_eq!(bias.to_bits(), want_bias.to_bits());
+                    prop_assert_eq!(
+                        alpha.iter().map(|a| a.to_bits()).collect::<Vec<_>>(),
+                        want_alpha.iter().map(|a| a.to_bits()).collect::<Vec<_>>()
+                    );
+                }
+            }
+        }
     }
 
     #[test]
