@@ -126,7 +126,7 @@ fn bench_surrogate_fit(c: &mut Criterion) {
     let mut group = c.benchmark_group("surrogate/fit_120x6_40_trees");
     for (name, pool) in [("serial", Pool::serial()), ("4_threads", Pool::new(4))] {
         group.bench_function(name, |b| {
-            b.iter(|| RandomForestSurrogate::fit_with(&xs, &ys, 40, 5, pool))
+            b.iter(|| RandomForestSurrogate::fit_with(&xs, &ys, 40, 5, &pool))
         });
     }
     group.finish();
@@ -144,7 +144,7 @@ fn bench_parallel_folds(c: &mut Criterion) {
         group.bench_function(name, |b| {
             b.iter(|| {
                 let obj = ClassifierObjective::new(Algorithm::RandomForest, &data, &rows, 4, 7);
-                obj.evaluate_full_with(&config, pool)
+                obj.evaluate_full_with(&config, &pool)
             })
         });
     }

@@ -318,9 +318,9 @@ mod tests {
         use smartml_runtime::Pool;
         let d = gaussian_blobs("b", 400, 6, 3, 1.0, 22);
         let rows = d.all_rows();
-        let b1 = BinnedColumns::fit_with(&d, &rows, 32, Pool::serial());
+        let b1 = BinnedColumns::fit_with(&d, &rows, 32, &Pool::serial());
         for width in [1, 8] {
-            let bw = BinnedColumns::fit_with(&d, &rows, 32, Pool::new(width));
+            let bw = BinnedColumns::fit_with(&d, &rows, 32, &Pool::new(width));
             for (c1, cw) in b1.cols.iter().zip(&bw.cols) {
                 let (c1, cw) = (c1.as_ref().unwrap(), cw.as_ref().unwrap());
                 assert_eq!(c1.edges, cw.edges, "width {width}");

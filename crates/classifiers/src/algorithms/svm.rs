@@ -505,7 +505,7 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+        #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Every one-vs-one subproblem of a random dataset, under every
         /// kernel and seven decades of cost: the active-set solver returns

@@ -457,13 +457,13 @@ impl BinnedColumns {
     /// Quantises each numeric feature of `data` into at most `max_bins`
     /// bins, with edges chosen from the values observed on `rows`.
     pub fn fit(data: &Dataset, rows: &[usize], max_bins: usize) -> BinnedColumns {
-        BinnedColumns::fit_with(data, rows, max_bins, Pool::serial())
+        BinnedColumns::fit_with(data, rows, max_bins, &Pool::serial())
     }
 
     /// [`fit`](BinnedColumns::fit) with per-feature work spread over
     /// `pool`. Each feature is quantised independently, so the result is
     /// identical for every pool width.
-    pub fn fit_with(data: &Dataset, rows: &[usize], max_bins: usize, pool: Pool) -> BinnedColumns {
+    pub fn fit_with(data: &Dataset, rows: &[usize], max_bins: usize, pool: &Pool) -> BinnedColumns {
         let max_bins = max_bins.clamp(2, MAX_BINS);
         let cols = pool.map_range(data.n_features(), |f| match data.feature(f) {
             Feature::Numeric { values, .. } => Some(bin_column(values, rows, max_bins)),

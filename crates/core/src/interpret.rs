@@ -34,7 +34,7 @@ pub fn permutation_importance(
     repeats: usize,
     seed: u64,
 ) -> Vec<FeatureImportance> {
-    permutation_importance_with(model, data, rows, repeats, seed, Pool::serial())
+    permutation_importance_with(model, data, rows, repeats, seed, &Pool::serial())
 }
 
 /// [`permutation_importance`] with features scored on `pool`.
@@ -48,7 +48,7 @@ pub fn permutation_importance_with(
     rows: &[usize],
     repeats: usize,
     seed: u64,
-    pool: Pool,
+    pool: &Pool,
 ) -> Vec<FeatureImportance> {
     let truth = data.labels_for(rows);
     let baseline = accuracy(&truth, &model.predict(data, rows));
@@ -296,10 +296,10 @@ mod tests {
         let flatten = |v: &[FeatureImportance]| {
             v.iter().map(|f| (f.feature.clone(), f.importance)).collect::<Vec<_>>()
         };
-        let serial = permutation_importance_with(model.as_ref(), &d, &rows, 3, 11, Pool::serial());
+        let serial = permutation_importance_with(model.as_ref(), &d, &rows, 3, 11, &Pool::serial());
         for threads in [2, 8] {
             let par =
-                permutation_importance_with(model.as_ref(), &d, &rows, 3, 11, Pool::new(threads));
+                permutation_importance_with(model.as_ref(), &d, &rows, 3, 11, &Pool::new(threads));
             assert_eq!(flatten(&serial), flatten(&par), "pool width {threads} diverged");
         }
     }

@@ -307,10 +307,10 @@ impl<B: KbBackend> SmartML<B> {
             (true, Budget::Time(total)) => Deadline::after(total),
             _ => Deadline::none(),
         };
-        // Split the worker budget between the algorithm level and the
-        // fold/surrogate level inside each optimiser; widths only affect
-        // speed, never results.
-        let inner_pool = Pool::new(pool.n_threads().div_ceil(tasks.len().max(1)));
+        // One thread budget for the whole run: the algorithm-level maps
+        // below and the fold/surrogate-level maps inside each optimiser
+        // draw on the same `n_threads` slots, so a core an early finisher
+        // frees goes to the straggler's folds. Only speed depends on it.
         // Round 1: every algorithm tunes on its initial proportional
         // share. Optimisers stop early when the circuit breaker trips
         // (`breaker_threshold` consecutive faulted trials).
@@ -336,7 +336,7 @@ impl<B: KbBackend> SmartML<B> {
                     wall_clock,
                     seed: opts.seed ^ (algorithm as u64) << 8,
                     initial_configs: warm_starts.clone(),
-                    pool: inner_pool,
+                    pool: pool.clone(),
                     deadline: shared_deadline,
                     trial_timeout: opts.trial_timeout,
                     breaker_threshold: opts.breaker_threshold,
@@ -421,7 +421,7 @@ impl<B: KbBackend> SmartML<B> {
                     wall_clock,
                     seed: opts.seed ^ (algorithm as u64) << 8 ^ 0x9E37_79B9_7F4A_7C15,
                     initial_configs: vec![warm],
-                    pool: inner_pool,
+                    pool: pool.clone(),
                     deadline: shared_deadline,
                     trial_timeout: opts.trial_timeout,
                     breaker_threshold: opts.breaker_threshold,
@@ -575,7 +575,7 @@ impl<B: KbBackend> SmartML<B> {
                 &valid_rows,
                 3,
                 opts.seed,
-                pool,
+                &pool,
             ))
         } else {
             None
@@ -647,7 +647,7 @@ impl<B: KbBackend> SmartML<B> {
         let trace = tracing.finish();
         let timeline = trace
             .as_ref()
-            .map(|t| TimeAttribution::from_timeline(&Timeline::from_trace(t)));
+            .map(|t| TimeAttribution::from_timeline(&Timeline::from_trace(t), pool.n_threads()));
 
         // Every objective (and its Arc clone) is gone by now; only the
         // clone fallback runs if a caller-side reference still lives.

@@ -168,13 +168,26 @@ pub struct TimeAttribution {
     /// Spans lost to ring-buffer overwrite while recording (0 = the
     /// attribution is complete).
     pub dropped_spans: u64,
+    /// The run's thread budget (`n_threads`, resolved). Absent (0) in
+    /// reports from older versions.
+    #[serde(default)]
+    pub n_threads: usize,
+    /// Speculatively evaluated folds the serial race would have skipped
+    /// (`smac.fold.wasted` spans), and the thread-seconds they took.
+    #[serde(default)]
+    pub wasted_folds: u64,
+    #[serde(default)]
+    pub wasted_fold_secs: f64,
 }
 
 impl TimeAttribution {
     /// Converts the obs-crate aggregate (which stays serde-free) into the
     /// report's serialisable form.
-    pub fn from_timeline(tl: &smartml_obs::Timeline) -> TimeAttribution {
+    pub fn from_timeline(tl: &smartml_obs::Timeline, n_threads: usize) -> TimeAttribution {
         TimeAttribution {
+            n_threads,
+            wasted_folds: tl.algorithms.iter().map(|a| a.wasted_folds).sum(),
+            wasted_fold_secs: tl.algorithms.iter().map(|a| a.wasted_fold_secs).sum(),
             total_secs: tl.total_secs,
             phases: tl.phases.clone(),
             other_secs: tl.other_secs,
@@ -196,6 +209,35 @@ impl TimeAttribution {
                 .collect(),
             dropped_spans: tl.dropped_spans,
         }
+    }
+
+    /// Thread-seconds phase 4 spent evaluating folds, speculated folds
+    /// that were thrown away included.
+    pub fn fold_thread_secs(&self) -> f64 {
+        self.algorithms.iter().map(|a| a.fold_secs).sum::<f64>() + self.wasted_fold_secs
+    }
+
+    /// Share of the thread budget that phase 4 spent evaluating folds:
+    /// fold thread-seconds / (phase-4 wall-clock × `n_threads`). `None`
+    /// when the trace has no phase-4 span or predates the field.
+    pub fn phase4_utilisation(&self) -> Option<f64> {
+        let (_, wall) = self.phases.iter().find(|(name, _)| name == "phase4.tune_all")?;
+        let capacity = wall * self.n_threads as f64;
+        (capacity > 0.0).then(|| self.fold_thread_secs() / capacity)
+    }
+
+    /// The utilisation line of "Where the time went".
+    fn utilisation_line(&self) -> Option<String> {
+        self.phase4_utilisation().map(|u| {
+            format!(
+                "phase-4 utilisation {u:.2} of {} threads ({:.3} fold thread-seconds; \
+                 {} speculative folds wasted, {:.3}s)",
+                self.n_threads,
+                self.fold_thread_secs(),
+                self.wasted_folds,
+                self.wasted_fold_secs
+            )
+        })
     }
 }
 
@@ -340,6 +382,9 @@ impl RunReport {
                 out.push_str(&format!("    {:<28} {:>8.3}s\n", phase, secs));
             }
             out.push_str(&format!("    {:<28} {:>8.3}s\n", "(between phases)", tl.other_secs));
+            if let Some(line) = tl.utilisation_line() {
+                out.push_str(&format!("    {line}\n"));
+            }
             for a in &tl.algorithms {
                 let rungs = if a.rungs > 0 {
                     format!(" rungs={} ({:.3}s)", a.rungs, a.rung_secs)
@@ -470,6 +515,9 @@ impl RunReport {
             }
             out.push_str(&format!("| (between phases) | {:.3} |\n", tl.other_secs));
             out.push_str(&format!("| **total** | **{:.3}** |\n", tl.total_secs));
+            if let Some(line) = tl.utilisation_line() {
+                out.push_str(&format!("\n{line}\n"));
+            }
             if !tl.algorithms.is_empty() {
                 out.push_str(
                     "\n| algorithm | tune (s) | trials | trial (s) | folds | fold (s) | surrogate fits | surrogate (s) | rungs | rung (s) |\n|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n",
@@ -652,12 +700,19 @@ mod tests {
                 rung_secs: 0.4,
             }],
             dropped_spans: 0,
+            n_threads: 2,
+            wasted_folds: 3,
+            wasted_fold_secs: 0.2,
         });
         let text = report.render();
         assert!(text.contains("Where the time went"));
         assert!(text.contains("phase4.tune_all"));
         assert!(text.contains("RandomForest"));
+        // 1.2 fold thread-seconds over a 1.5 s phase 4 on 2 threads.
+        assert!(text.contains("phase-4 utilisation 0.40 of 2 threads"), "{text}");
+        assert!(text.contains("3 speculative folds wasted"));
         let md = report.render_markdown();
+        assert!(md.contains("phase-4 utilisation 0.40 of 2 threads"));
         assert!(md.contains("### Where the time went"));
         assert!(md.contains("| phase2.preprocess | 0.250 |"));
         assert!(md.contains("| RandomForest | 1.400 | 8 |"));
@@ -675,7 +730,11 @@ mod tests {
             other_secs: 0.5,
             algorithms: vec![],
             dropped_spans: 0,
+            n_threads: 1,
+            wasted_folds: 0,
+            wasted_fold_secs: 0.0,
         };
+        assert_eq!(tl.phase4_utilisation(), None, "no phase-4 span, no utilisation");
         let sum: f64 = tl.phases.iter().map(|(_, s)| s).sum::<f64>() + tl.other_secs;
         assert!((sum - tl.total_secs).abs() <= 0.01 * tl.total_secs);
     }

@@ -33,8 +33,8 @@ pub use metrics::{
 };
 pub use timeline::{AlgoTimeline, Timeline};
 pub use trace::{
-    disable_tracing, drain_trace, enable_tracing, record_interval, tracing_enabled, SpanGuard,
-    SpanRecord, Trace, TraceStats,
+    disable_tracing, drain_trace, enable_tracing, record_interval, record_span, tracing_enabled,
+    SpanGuard, SpanRecord, Trace, TraceStats,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -323,6 +323,18 @@ impl Gauge {
             .fetch_add(delta, Ordering::Relaxed);
     }
 
+    /// Raises the gauge to `v` when it reads lower — a high-water mark.
+    #[inline]
+    pub fn raise(&self, v: i64) {
+        if !metrics_enabled() {
+            return;
+        }
+        self.slot
+            .get_or_init(|| register_gauge(self.name))
+            .0
+            .fetch_max(v, Ordering::Relaxed);
+    }
+
     pub fn value(&self) -> i64 {
         self.slot
             .get()

@@ -20,6 +20,11 @@ pub struct AlgoTimeline {
     pub trial_secs: f64,
     pub folds: u64,
     pub fold_secs: f64,
+    /// `smac.fold.wasted` spans: folds evaluated speculatively that the
+    /// serial discard rule would have skipped. Not part of `folds`, which
+    /// therefore repeats exactly whatever the scheduling.
+    pub wasted_folds: u64,
+    pub wasted_fold_secs: f64,
     pub surrogate_fits: u64,
     pub surrogate_secs: f64,
     /// `smac.rung` spans — multi-fidelity rung evaluations (synchronous
@@ -76,6 +81,8 @@ impl Timeline {
                     trial_secs: 0.0,
                     folds: 0,
                     fold_secs: 0.0,
+                    wasted_folds: 0,
+                    wasted_fold_secs: 0.0,
                     surrogate_fits: 0,
                     surrogate_secs: 0.0,
                     rungs: 0,
@@ -110,6 +117,13 @@ impl Timeline {
                         let i = algo_slot(&mut algos, a);
                         algos[i].folds += 1;
                         algos[i].fold_secs += secs(span);
+                    }
+                }
+                "smac.fold.wasted" => {
+                    if let Some(a) = arg(span, "algo") {
+                        let i = algo_slot(&mut algos, a);
+                        algos[i].wasted_folds += 1;
+                        algos[i].wasted_fold_secs += secs(span);
                     }
                 }
                 "smac.surrogate.fit" => {
@@ -171,6 +185,7 @@ mod tests {
                 span("smac.trial", "algo=RandomForest trial=0", 1_600_000, 400_000),
                 span("smac.trial", "algo=RandomForest trial=1", 2_000_000, 600_000),
                 span("smac.fold", "algo=RandomForest fold=0", 1_600_000, 200_000),
+                span("smac.fold.wasted", "algo=RandomForest fold=2", 1_600_000, 150_000),
                 span("smac.surrogate.fit", "algo=RandomForest", 2_700_000, 50_000),
                 span("smac.rung", "algo=KNN rung=0 cohort=8 fidelity=1", 1_700_000, 300_000),
                 span("smac.rung", "algo=KNN rung=1 cohort=4 fidelity=2", 2_100_000, 250_000),
@@ -192,6 +207,8 @@ mod tests {
         assert_eq!(rf.trials, 2);
         assert!((rf.trial_secs - 1.0).abs() < 1e-9);
         assert_eq!(rf.folds, 1);
+        assert_eq!(rf.wasted_folds, 1);
+        assert!((rf.wasted_fold_secs - 0.15).abs() < 1e-9);
         assert_eq!(rf.surrogate_fits, 1);
         assert_eq!(rf.rungs, 0);
         let knn = &tl.algorithms[1];

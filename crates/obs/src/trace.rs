@@ -166,29 +166,47 @@ impl SpanGuard {
     pub fn id(&self) -> u64 {
         self.live.as_ref().map(|l| l.id).unwrap_or(0)
     }
+
+    /// Ends the span and builds its record without pushing it.
+    fn finish(&mut self) -> Option<SpanRecord> {
+        let live = self.live.take()?;
+        let dur = live.start.elapsed();
+        PARENT_STACK.with(|s| {
+            let mut s = s.borrow_mut();
+            if let Some(pos) = s.iter().rposition(|&id| id == live.id) {
+                s.remove(pos);
+            }
+        });
+        Some(SpanRecord {
+            id: live.id,
+            parent: live.parent,
+            name: live.name,
+            args: live.args,
+            tid: thread_id(),
+            start_us: micros_since_epoch(live.start),
+            dur_us: dur.as_micros() as u64,
+        })
+    }
+
+    /// Ends the span on this thread but hands the record to the caller
+    /// instead of the ring (`None` for an inert guard), for a span whose
+    /// final name is only known later — pass it to [`record_span`] then.
+    pub fn close(mut self) -> Option<SpanRecord> {
+        self.finish()
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(live) = self.live.take() {
-            let dur = live.start.elapsed();
-            PARENT_STACK.with(|s| {
-                let mut s = s.borrow_mut();
-                if let Some(pos) = s.iter().rposition(|&id| id == live.id) {
-                    s.remove(pos);
-                }
-            });
-            push_record(SpanRecord {
-                id: live.id,
-                parent: live.parent,
-                name: live.name,
-                args: live.args,
-                tid: thread_id(),
-                start_us: micros_since_epoch(live.start),
-                dur_us: dur.as_micros() as u64,
-            });
+        if let Some(rec) = self.finish() {
+            push_record(rec);
         }
     }
+}
+
+/// Records a span closed earlier with [`SpanGuard::close`], from any thread.
+pub fn record_span(rec: SpanRecord) {
+    push_record(rec);
 }
 
 /// Record a span after the fact, for intervals measured outside guard scope
@@ -337,6 +355,29 @@ mod tests {
             assert_eq!(g.id(), 0);
         }
         assert_eq!(drain_trace().spans.len(), 0);
+    }
+
+    #[test]
+    fn closed_span_is_recorded_by_the_caller_under_its_final_name() {
+        let _g = crate::test_gate();
+        enable_tracing(None);
+        let _ = drain_trace();
+        let tid = std::thread::spawn(|| {
+            let closed = crate::span!("test.closed", fold = 1).close().expect("tracing is on");
+            (closed.tid, closed)
+        });
+        let (tid, mut closed) = tid.join().unwrap();
+        assert_eq!(drain_trace().spans.len(), 0, "close() must not push");
+        closed.name = "test.closed.renamed";
+        record_span(closed);
+        disable_tracing();
+        let trace = drain_trace();
+        assert_eq!(trace.spans.len(), 1);
+        // Named by the caller, still on the lane of the thread that ran it.
+        assert_eq!(trace.spans[0].name, "test.closed.renamed");
+        assert_eq!(trace.spans[0].tid, tid);
+        assert_eq!(trace.spans[0].args, "fold=1");
+        assert!(crate::span!("test.off").close().is_none(), "inert guard closes to nothing");
     }
 
     #[test]

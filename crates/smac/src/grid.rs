@@ -92,7 +92,7 @@ impl Optimizer for GridSearch {
         if space.params.is_empty() {
             let config = ParamConfig::default();
             let token = TrialToken::bounded(options.trial_timeout, options.deadline);
-            let outcome = objective.evaluate_full_outcome(&config, options.pool, &token);
+            let outcome = objective.evaluate_full_outcome(&config, &options.pool, &token);
             failures.record(&outcome);
             let score = outcome.score().unwrap_or(0.0);
             return OptResult {
@@ -156,7 +156,7 @@ impl Optimizer for GridSearch {
                 config.values.insert(spec.name().to_string(), lv[i].clone());
             }
             let token = TrialToken::bounded(options.trial_timeout, options.deadline);
-            let outcome = objective.evaluate_full_outcome(&config, options.pool, &token);
+            let outcome = objective.evaluate_full_outcome(&config, &options.pool, &token);
             failures.record(&outcome);
             let score = outcome.score().unwrap_or(0.0);
             let usable = outcome.is_ok();

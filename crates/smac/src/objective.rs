@@ -45,7 +45,7 @@ pub trait Objective: Send + Sync {
 
     /// Mean score over all folds (convenience for non-racing callers).
     fn evaluate_full(&self, config: &ParamConfig) -> Result<f64, String> {
-        self.evaluate_full_with(config, Pool::serial())
+        self.evaluate_full_with(config, &Pool::serial())
     }
 
     /// [`evaluate_full`](Objective::evaluate_full) with folds evaluated on
@@ -53,7 +53,7 @@ pub trait Objective: Send + Sync {
     /// reported (first failing fold in fold order) — is identical for any
     /// pool width. Folds run guarded: a panicking fit surfaces as an
     /// `Err` describing the panic, never as an unwind.
-    fn evaluate_full_with(&self, config: &ParamConfig, pool: Pool) -> Result<f64, String> {
+    fn evaluate_full_with(&self, config: &ParamConfig, pool: &Pool) -> Result<f64, String> {
         match self.evaluate_full_outcome(config, pool, &TrialToken::unbounded()) {
             TrialOutcome::Ok(score) => Ok(score),
             other => Err(other.failure_reason()),
@@ -66,7 +66,7 @@ pub trait Objective: Send + Sync {
     fn evaluate_full_outcome(
         &self,
         config: &ParamConfig,
-        pool: Pool,
+        pool: &Pool,
         token: &TrialToken,
     ) -> TrialOutcome {
         let n = self.n_folds();
@@ -160,9 +160,16 @@ impl ClassifierObjective {
 
 /// Unwinding-safe completion for a single-flight cache entry: constructed
 /// after the `InFlight` marker is inserted; on drop — **including a drop
-/// during a panic unwind** — it fills the slot and wakes every waiter.
+/// during a panic unwind** — it settles the slot and wakes every waiter.
 /// Without it, a panicking fit would leave the marker in place and every
 /// thread waiting on that `(config, fold)` pair would block forever.
+///
+/// A result is memoised; a panic is not — the slot is emptied and the next
+/// caller (a woken waiter included) evaluates, and panics, for itself.
+/// Memoising it would turn every later evaluation's `Panicked` into a
+/// `Failed` read from the memo, and whether a fold was evaluated earlier
+/// can depend on scheduling: a speculated fold that the race then
+/// discarded.
 struct SlotCompletion<'a> {
     cache: &'a Mutex<HashMap<(String, usize), Slot>>,
     key: (String, usize),
@@ -171,9 +178,6 @@ struct SlotCompletion<'a> {
 
 impl Drop for SlotCompletion<'_> {
     fn drop(&mut self) {
-        let result = self.result.take().unwrap_or_else(|| {
-            Err(format!("fold evaluation panicked (config {})", self.key.0))
-        });
         // `lock()` may see a poisoned mutex if another panic hit inside
         // the critical section; waking waiters still matters more, so
         // recover the guard rather than double-panicking during unwind.
@@ -181,7 +185,10 @@ impl Drop for SlotCompletion<'_> {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let prev = cache.insert(self.key.clone(), Slot::Done(result));
+        let prev = match self.result.take() {
+            Some(result) => cache.insert(self.key.clone(), Slot::Done(result)),
+            None => cache.remove(&self.key),
+        };
         drop(cache);
         if let Some(Slot::InFlight(w)) = prev {
             let (flag, cvar) = &*w;
@@ -234,11 +241,12 @@ impl Objective for ClassifierObjective {
             while !*done {
                 done = cvar.wait(done).unwrap();
             }
-            // Re-read the table: the slot is `Done` now.
+            // Re-read the table: the slot is `Done` now, or empty again if
+            // the computing thread panicked.
         }
         // From here on the completion guard owns the slot: whatever
         // happens — normal return, error, or a panic in the fit — it
-        // publishes a `Done` result and wakes the waiters.
+        // settles the slot and wakes the waiters.
         let mut completion = SlotCompletion { cache: &self.cache, key, result: None };
         FOLD_COMPUTED.inc();
         let (train, valid) = &self.folds[fold];
@@ -313,11 +321,11 @@ mod tests {
         let rows = d.all_rows();
         let config = Algorithm::Knn.param_space().default_config();
         let serial = ClassifierObjective::new(Algorithm::Knn, &d, &rows, 4, 7)
-            .evaluate_full_with(&config, Pool::serial())
+            .evaluate_full_with(&config, &Pool::serial())
             .unwrap();
         for threads in [2, 8] {
             let obj = ClassifierObjective::new(Algorithm::Knn, &d, &rows, 4, 7);
-            let par = obj.evaluate_full_with(&config, Pool::new(threads)).unwrap();
+            let par = obj.evaluate_full_with(&config, &Pool::new(threads)).unwrap();
             assert_eq!(serial, par, "pool width {threads} changed the score");
             assert_eq!(obj.cache_len(), 4);
         }
@@ -379,7 +387,7 @@ mod tests {
         // Arm the `smac::fold` fail point so the computing thread panics
         // between the InFlight insert and the Done insert — the exact
         // window that used to strand every waiter forever. All eight
-        // concurrent callers must return (with a failure), not hang.
+        // concurrent callers must return (with the panic), not hang.
         let d = gaussian_blobs("b", 120, 2, 2, 1.0, 5);
         let rows = d.all_rows();
         let obj = std::sync::Arc::new(ClassifierObjective::new(
@@ -410,13 +418,17 @@ mod tests {
                     .expect("a waiter deadlocked on the poisoned fold cache"),
             );
         }
+        // A panic is not memoised: every caller — the one that computed
+        // first, the waiters it woke, and one that comes later — evaluates
+        // for itself and is classified `Panicked`, never `Failed` off a
+        // remembered error. So it cannot matter whether some earlier
+        // (speculated, then discarded) evaluation got there first.
+        outcomes.push(obj.evaluate_fold_guarded(&config, 0, &TrialToken::unbounded()));
         fail::disarm();
         for out in outcomes {
-            assert!(
-                matches!(out, TrialOutcome::Panicked { .. } | TrialOutcome::Failed(_)),
-                "unexpected outcome {out:?}"
-            );
+            assert!(matches!(out, TrialOutcome::Panicked { .. }), "unexpected outcome {out:?}");
         }
+        assert_eq!(obj.cache_len(), 0);
     }
 
     #[test]

@@ -37,7 +37,7 @@ impl Optimizer for RandomSearch {
             }
             let config = if t < queue.len() { queue[t].clone() } else { space.sample(&mut rng) };
             let token = TrialToken::bounded(options.trial_timeout, options.deadline);
-            let outcome = objective.evaluate_full_outcome(&config, options.pool, &token);
+            let outcome = objective.evaluate_full_outcome(&config, &options.pool, &token);
             failures.record(&outcome);
             let (score, folds) = match outcome.score() {
                 Some(s) => (s, objective.n_folds()),

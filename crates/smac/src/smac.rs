@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use smartml_classifiers::{ParamConfig, ParamSpace};
-use smartml_obs::{span, Counter};
+use smartml_obs::{record_span, span, Counter};
 use smartml_runtime::faults::TrialToken;
 use smartml_runtime::{Deadline, Pool};
 use std::time::{Duration, Instant};
@@ -20,6 +20,8 @@ static TRIAL_TIMED_OUT: Counter = Counter::new("smac.trial.timed_out");
 static TRIAL_INFEASIBLE: Counter = Counter::new("smac.trial.infeasible");
 static BREAKER_TRIPS: Counter = Counter::new("smac.breaker.trips");
 static SURROGATE_REFITS: Counter = Counter::new("smac.surrogate.refits");
+/// Speculatively evaluated folds the serial discard rule would have skipped.
+static FOLDS_WASTED: Counter = Counter::new("smac.fold.wasted");
 
 /// One evaluated configuration in the optimisation history.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -94,8 +96,9 @@ pub struct OptOptions {
     /// "configurations of the nominated best performing algorithms are used
     /// to initialize the hyper-parameter tuning process").
     pub initial_configs: Vec<ParamConfig>,
-    /// Worker pool for fold evaluation, surrogate fitting and candidate
-    /// scoring. Results are identical for any width; `Pool::serial()`
+    /// Thread budget for fold evaluation, surrogate fitting and candidate
+    /// scoring — shared with whoever else holds a clone of it. Results
+    /// are identical for any width and any contention; `Pool::serial()`
     /// (the default) keeps everything on the calling thread.
     pub pool: Pool,
     /// Absolute wall-clock cutoff, for optimisations racing each other
@@ -203,7 +206,7 @@ impl Optimizer for Smac {
         let start = Instant::now();
         let mut rng = StdRng::seed_from_u64(options.seed);
         let n_folds = objective.n_folds();
-        let pool = options.pool;
+        let pool = &options.pool;
         let out_of_budget = |trials: usize| {
             trials >= options.max_trials
                 || options.wall_clock.is_some_and(|b| start.elapsed() >= b)
@@ -333,7 +336,7 @@ impl Smac {
         incumbent: Option<&Raced>,
         rng: &mut StdRng,
         seed: u64,
-        pool: Pool,
+        pool: &Pool,
         tag: &str,
     ) -> ParamConfig {
         // Quarantine: faulted and non-finite trials never reach the
@@ -382,7 +385,7 @@ struct RaceArena<'a> {
     space: &'a ParamSpace,
     n_folds: usize,
     start: Instant,
-    pool: Pool,
+    pool: &'a Pool,
     trial_timeout: Option<Duration>,
     deadline: Deadline,
     /// `algo=` label for this optimisation's trace spans.
@@ -393,12 +396,14 @@ struct RaceArena<'a> {
 /// as soon as its running mean falls clearly below the incumbent's mean on
 /// the same number of folds.
 ///
-/// With a multi-thread pool, all folds are evaluated **speculatively** in
-/// parallel and the serial discard rule is then replayed over the scores in
-/// fold order. The kept prefix — and therefore the `Trial` record — is
-/// bit-identical to the serial path; folds the replay discards were wasted
-/// speculation, traded for wall-clock (and memoised by the objective for
-/// later incumbent revisits).
+/// Whenever the pool can lend helpers, the next folds are evaluated
+/// **speculatively**, one per thread, and the serial discard rule is then
+/// replayed over the scores in fold order. The kept prefix — and therefore
+/// the `Trial` record — is bit-identical to the serial path, so it does
+/// not matter that timing decides which races speculate; folds the replay
+/// discards were wasted speculation, traded for wall-clock (traced as
+/// `smac.fold.wasted`, and memoised by the objective for later revisits).
+/// With no helper to be had the next fold is raced serially.
 fn race(
     arena: &RaceArena<'_>,
     config: ParamConfig,
@@ -419,21 +424,25 @@ fn race(
     // deadline caps it further. Folds run guarded, so a panicking or
     // hanging fit is contained here and classified, never unwound.
     let token = TrialToken::bounded(arena.trial_timeout, arena.deadline);
-    let speculative: Option<Vec<TrialOutcome>> =
-        (arena.pool.n_threads() > 1 && n_folds > 1).then(|| {
-            arena.pool.map_range(n_folds, |fold| {
-                let _s = span!("smac.fold", algo = arena.tag, fold = fold);
-                arena.objective.evaluate_fold_guarded(&raced.config, fold, &token)
-            })
-        });
+    let evaluate = |fold: usize| {
+        let s = span!("smac.fold", algo = arena.tag, fold = fold);
+        let outcome = arena.objective.evaluate_fold_guarded(&raced.config, fold, &token);
+        (outcome, s.close())
+    };
+    // The serial race, reading speculated results where there are any.
+    let mut speculated = Vec::new().into_iter();
     for fold in 0..n_folds {
-        let outcome = match &speculative {
-            Some(results) => results[fold].clone(),
-            None => {
-                let _s = span!("smac.fold", algo = arena.tag, fold = fold);
-                arena.objective.evaluate_fold_guarded(&raced.config, fold, &token)
-            }
-        };
+        if speculated.len() == 0 && !helpers_denied() {
+            // One fold per thread that can be had, asked again when those
+            // are read: a slot may have come free since, and a fold is not
+            // started that the ones before it could still make pointless.
+            let ahead = arena.pool.try_map_prefix(n_folds - fold, |k| evaluate(fold + k));
+            speculated = ahead.unwrap_or_default().into_iter();
+        }
+        let (outcome, fold_span) = speculated.next().unwrap_or_else(|| evaluate(fold));
+        if let Some(span) = fold_span {
+            record_span(span);
+        }
         match outcome {
             TrialOutcome::Ok(score) => raced.fold_scores.push(score),
             failure => {
@@ -444,6 +453,14 @@ fn race(
         }
         if discard_early(&raced, incumbent, n_folds, fold) {
             break;
+        }
+    }
+    // Folds speculated past the one the serial race stops at.
+    for (_, fold_span) in speculated {
+        FOLDS_WASTED.inc();
+        if let Some(mut span) = fold_span {
+            span.name = "smac.fold.wasted";
+            record_span(span);
         }
     }
     history.push(Trial {
@@ -457,6 +474,19 @@ fn race(
         }),
     });
     raced
+}
+
+/// Test seam: a race asks here before it asks the pool, so a test can deny
+/// it its helpers the way a busy pool would.
+#[cfg(test)]
+fn helpers_denied() -> bool {
+    tests::DENY_HELPERS
+        .with(|coin| coin.borrow_mut().as_mut().is_some_and(|coin| rand::Rng::gen_bool(coin, 0.5)))
+}
+
+#[cfg(not(test))]
+fn helpers_denied() -> bool {
+    false
 }
 
 /// The early-discard rule: after `fold`, is the challenger's optimistic
@@ -684,6 +714,57 @@ mod tests {
                 assert_eq!(a.config, b.config);
                 assert_eq!(a.score, b.score);
                 assert_eq!(a.folds_evaluated, b.folds_evaluated);
+            }
+        }
+    }
+
+    thread_local! {
+        /// While set, a coin tossed on the racing thread each time a race
+        /// is about to ask the pool for helpers; heads denies them (see
+        /// `helpers_denied`).
+        pub(super) static DENY_HELPERS: std::cell::RefCell<Option<StdRng>> =
+            const { std::cell::RefCell::new(None) };
+    }
+
+    #[test]
+    fn which_races_get_helpers_never_changes_the_result() {
+        // Under the shared budget, timing decides fold by fold whether the
+        // rest of a race is speculated or raced serially. Force that choice
+        // from a seeded coin and compare everything but the clock with the
+        // serial run — on a clean objective and on one where ~30 % of the
+        // `(config, fold)` evaluations panic.
+        fn canonical(mut result: OptResult) -> String {
+            for trial in &mut result.history {
+                trial.elapsed_secs = 0.0;
+            }
+            serde_json::to_string(&result).unwrap()
+        }
+        for faulty in [false, true] {
+            let objective = StaticObjective {
+                folds: 3,
+                f: move |c: &ParamConfig, fold| {
+                    let x = c.f64_or("x", 0.0);
+                    if faulty && smartml_runtime::task_seed(x.to_bits(), fold as u64) % 10 < 3 {
+                        panic!("injected fault at x={x} fold={fold}");
+                    }
+                    1.0 - (x - 0.7) * (x - 0.7) + (fold as f64 - 1.0) * 0.005
+                },
+            };
+            let run = |pool: Pool| {
+                canonical(Smac::default().optimize(
+                    &space_1d(),
+                    &objective,
+                    &OptOptions { max_trials: 40, seed: 3, pool, ..Default::default() },
+                ))
+            };
+            let serial = run(Pool::serial());
+            assert_eq!(faulty, serial.contains("Panicked"), "the faulty run must meet its faults");
+            assert_eq!(serial, run(Pool::new(4)), "every race speculated, faulty={faulty}");
+            for coin_seed in 0..4u64 {
+                DENY_HELPERS.set(Some(StdRng::seed_from_u64(coin_seed)));
+                let mixed = run(Pool::new(4));
+                DENY_HELPERS.set(None);
+                assert_eq!(serial, mixed, "coin {coin_seed}, faulty={faulty}");
             }
         }
     }

@@ -41,7 +41,7 @@ pub struct RandomForestSurrogate {
 impl RandomForestSurrogate {
     /// Fits `n_trees` bootstrap regression trees on `(xs, ys)`.
     pub fn fit(xs: &[Vec<f64>], ys: &[f64], n_trees: usize, seed: u64) -> Self {
-        Self::fit_with(xs, ys, n_trees, seed, Pool::serial())
+        Self::fit_with(xs, ys, n_trees, seed, &Pool::serial())
     }
 
     /// [`fit`](RandomForestSurrogate::fit) with trees grown on `pool`.
@@ -49,7 +49,7 @@ impl RandomForestSurrogate {
     /// Each tree's bootstrap sample and split randomness come from its own
     /// RNG seeded by `task_seed(seed, tree)`, so the forest is identical
     /// for any pool width (including [`fit`]'s serial path).
-    pub fn fit_with(xs: &[Vec<f64>], ys: &[f64], n_trees: usize, seed: u64, pool: Pool) -> Self {
+    pub fn fit_with(xs: &[Vec<f64>], ys: &[f64], n_trees: usize, seed: u64, pool: &Pool) -> Self {
         assert_eq!(xs.len(), ys.len());
         assert!(!xs.is_empty(), "surrogate needs at least one observation");
         let n = xs.len();
@@ -413,10 +413,10 @@ mod tests {
     #[test]
     fn parallel_fit_is_identical_to_serial() {
         let (xs, ys) = quadratic_data(80);
-        let serial = RandomForestSurrogate::fit_with(&xs, &ys, 16, 9, Pool::serial());
+        let serial = RandomForestSurrogate::fit_with(&xs, &ys, 16, 9, &Pool::serial());
         let probes: Vec<Vec<f64>> = (0..21).map(|i| vec![i as f64 / 20.0]).collect();
         for threads in [2, 8] {
-            let par = RandomForestSurrogate::fit_with(&xs, &ys, 16, 9, Pool::new(threads));
+            let par = RandomForestSurrogate::fit_with(&xs, &ys, 16, 9, &Pool::new(threads));
             for x in &probes {
                 assert_eq!(serial.predict(x), par.predict(x), "diverged at {x:?}");
             }

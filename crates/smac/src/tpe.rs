@@ -63,7 +63,7 @@ impl Optimizer for Tpe {
                 self.propose(space, &history, &mut rng)
             };
             let token = TrialToken::bounded(options.trial_timeout, options.deadline);
-            let outcome = objective.evaluate_full_outcome(&config, options.pool, &token);
+            let outcome = objective.evaluate_full_outcome(&config, &options.pool, &token);
             failures.record(&outcome);
             let score = outcome.score().unwrap_or(0.0);
             history.push(Trial {

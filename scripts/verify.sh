@@ -11,7 +11,17 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
-echo "==> determinism: identical reports for n_threads in {1, 2, 8}, tracing on and off"
+echo "==> benchmark harness: compiles against the current crates; smoke pass exits clean"
+# benchmark/ is a workspace of its own, so tier-1 does not build it: this is
+# where a public-API change that breaks it shows up. Exit status only.
+if [ "$(nproc)" -ge 2 ]; then
+  benchmark/run.sh --smoke > /dev/null
+else
+  # The harness refuses to measure on one core; it must still build.
+  cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml
+fi
+
+echo "==> determinism: identical reports for n_threads in {1, 2, 3, 5, 8}, tracing on and off"
 cargo test -q --offline -p smartml-integration --test determinism --test observability
 
 echo "==> determinism: ASHA and Hyperband byte-identical at pool widths {1, 2, 8}"

@@ -140,7 +140,7 @@ fn hanging_fits_time_out_and_the_run_still_returns_a_model() {
 
 /// Tripped-breaker budget reallocation must be deterministic across
 /// worker-pool widths: the failure ledger, tripped flags, reallocated
-/// trial counts and the winning model are identical for 1, 2 and 8
+/// trial counts and the winning model are identical for 1, 2, 3, 5 and 8
 /// threads under the same fault plan.
 #[test]
 fn breaker_reallocation_is_deterministic_across_pool_widths() {
@@ -163,8 +163,7 @@ fn breaker_reallocation_is_deterministic_across_pool_widths() {
         fingerprint(&outcome.report)
     };
     let serial = run_width(1);
-    let two = run_width(2);
-    let eight = run_width(8);
-    assert_eq!(serial, two, "2-thread report diverged from serial");
-    assert_eq!(serial, eight, "8-thread report diverged from serial");
+    for width in [2, 3, 5, 8] {
+        assert_eq!(serial, run_width(width), "{width}-thread report diverged from serial");
+    }
 }

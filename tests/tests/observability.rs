@@ -42,7 +42,7 @@ fn canonical_json(outcome: &RunOutcome) -> String {
 #[test]
 fn tracing_does_not_change_selection_at_any_width() {
     let baseline = canonical_json(&run(1, false));
-    for threads in [1usize, 2, 8] {
+    for threads in [1usize, 2, 3, 5, 8] {
         for trace in [false, true] {
             let outcome = run(threads, trace);
             assert_eq!(
