@@ -4,33 +4,31 @@
 
 use smartml_classifiers::TrainedModel;
 use smartml_data::Dataset;
+use std::sync::Arc;
 
 /// A soft-vote ensemble: members' probability vectors are averaged with
 /// validation-accuracy-derived weights.
 pub struct WeightedEnsemble {
-    members: Vec<(Box<dyn TrainedModel>, f64)>,
+    members: Vec<(Arc<dyn TrainedModel>, f64)>,
     n_classes: usize,
 }
 
 impl WeightedEnsemble {
-    /// Builds an ensemble from `(model, validation_accuracy)` pairs.
-    /// Weights are the accuracies normalised to sum to 1; non-positive
-    /// accuracies contribute nothing.
+    /// Builds an ensemble from `(model, validation_accuracy)` pairs — boxed
+    /// models, or `Arc`s the caller keeps using (the pipeline's winner is
+    /// also a member). Weights are the accuracies normalised to sum to 1;
+    /// non-positive accuracies contribute nothing.
     ///
     /// # Panics
     /// Panics if `members` is empty.
-    pub fn new(members: Vec<(Box<dyn TrainedModel>, f64)>, n_classes: usize) -> Self {
+    pub fn new<M: Into<Arc<dyn TrainedModel>>>(members: Vec<(M, f64)>, n_classes: usize) -> Self {
         assert!(!members.is_empty(), "ensemble needs at least one member");
         let total: f64 = members.iter().map(|(_, a)| a.max(0.0)).sum();
-        let members = if total > 1e-12 {
-            members
-                .into_iter()
-                .map(|(m, a)| (m, a.max(0.0) / total))
-                .collect()
-        } else {
-            let n = members.len() as f64;
-            members.into_iter().map(|(m, _)| (m, 1.0 / n)).collect()
-        };
+        let n = members.len() as f64;
+        let members = members
+            .into_iter()
+            .map(|(m, a)| (m.into(), if total > 1e-12 { a.max(0.0) / total } else { 1.0 / n }))
+            .collect();
         WeightedEnsemble { members, n_classes }
     }
 

@@ -68,9 +68,10 @@ impl From<KbError> for SmartMlError {
 pub struct RunOutcome {
     /// The structured report (Figure-3 content).
     pub report: RunReport,
-    /// The winning model, refit on the training split of the preprocessed
-    /// dataset. Predict with the dataset stored in `preprocessed`.
-    pub model: Box<dyn TrainedModel>,
+    /// The winning model, fitted on the training split of the preprocessed
+    /// dataset (shared with `ensemble` when there is one). Predict with the
+    /// dataset stored in `preprocessed`.
+    pub model: Arc<dyn TrainedModel>,
     /// The ensemble, when ensembling was enabled.
     pub ensemble: Option<WeightedEnsemble>,
     /// The preprocessed dataset the models operate on.
@@ -456,7 +457,7 @@ impl<B: KbBackend> SmartML<B> {
                             &preprocessed.labels_for(&valid_rows),
                             &model.predict(&preprocessed, &valid_rows),
                         );
-                        Some((algorithm, result.best_config.clone(), model, acc))
+                        Some((algorithm, result.best_config.clone(), Arc::<dyn TrainedModel>::from(model), acc))
                     }
                     GuardOutcome::Completed(Err(_)) => None,
                     GuardOutcome::Panicked { .. } => {
@@ -488,7 +489,7 @@ impl<B: KbBackend> SmartML<B> {
                 (tune, finalist, faults)
             });
         let mut tuning: Vec<AlgorithmTuning> = Vec::with_capacity(outcomes.len());
-        let mut finalists: Vec<(Algorithm, ParamConfig, Box<dyn TrainedModel>, f64)> = Vec::new();
+        let mut finalists: Vec<(Algorithm, ParamConfig, Arc<dyn TrainedModel>, f64)> = Vec::new();
         let mut algorithm_failures: Vec<AlgorithmFailures> = Vec::with_capacity(outcomes.len());
         for (tune, finalist, faults) in outcomes {
             tuning.push(tune);
@@ -534,10 +535,7 @@ impl<B: KbBackend> SmartML<B> {
         if opts.ensembling && finalists.len() >= 2 {
             let member_info: Vec<(Algorithm, f64)> =
                 finalists.iter().map(|(a, _, _, acc)| (*a, *acc)).collect();
-            let members: Vec<(Box<dyn TrainedModel>, f64)> = std::mem::take(&mut finalists)
-                .into_iter()
-                .map(|(_, _, m, acc)| (m, acc))
-                .collect();
+            let members = finalists.iter().map(|(_, _, m, acc)| (Arc::clone(m), *acc)).collect();
             let ens = WeightedEnsemble::new(members, preprocessed.n_classes());
             let ens_acc = accuracy(
                 &preprocessed.labels_for(&valid_rows),
@@ -555,17 +553,7 @@ impl<B: KbBackend> SmartML<B> {
             ensemble_model = Some(ens);
         }
 
-        // The winner model: if the ensemble consumed the finalists, refit.
-        let model: Box<dyn TrainedModel> = if let Some((_, _, m, _)) =
-            (!finalists.is_empty()).then(|| finalists.swap_remove(best_idx))
-        {
-            m
-        } else {
-            best.algorithm
-                .build(&best.config)
-                .fit(&preprocessed, &train_rows)
-                .map_err(|_| SmartMlError::NoModel)?
-        };
+        let model = finalists.swap_remove(best_idx).2;
 
         // Interpretability (optional).
         let importance = if opts.interpretability {

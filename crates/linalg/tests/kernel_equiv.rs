@@ -1,9 +1,13 @@
 //! Equivalence proofs for the vectorized kernel layer (DESIGN.md
 //! § Compute layer):
 //!
-//! - **Bit-identity** for every order-preserving fast path (blocked matmul,
-//!   covariance, the elementwise AXPY family) against its retained scalar
-//!   oracle, via `to_bits` comparison under proptest.
+//! - **Bit-identity** for every order-preserving fast path (covariance, the
+//!   elementwise AXPY family) against its retained scalar oracle, via
+//!   `to_bits` comparison under proptest. The blocked matmul's oracle sits
+//!   behind the process-wide scalar knob, so its proof lives with the knob's
+//!   own test in `scalar_knob.rs`, a process of its own: flipping the knob
+//!   here changed `kernels::dot` under `matvec_matches_dot_kernel` on
+//!   another test thread.
 //! - **Bounded tolerance** for the lane-reassociated reductions (dot, sum,
 //!   distance, Pearson sums) against the serial-order oracles, and for the
 //!   opt-in f32 kernels against their f64 counterparts within the
@@ -12,37 +16,11 @@
 //!   reproduce under any `-C target-cpu` (verify.sh runs this suite twice,
 //!   baseline and `target-cpu=native`).
 
+mod common;
+
+use common::{matrix, vec_pair, MAX_ABS};
 use proptest::prelude::*;
 use smartml_linalg::{covariance_matrix, kernels, stats_oracle, LinalgError, Matrix};
-
-const MAX_ABS: f64 = 10.0;
-
-fn vec_pair(max_len: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
-    (0usize..=max_len).prop_flat_map(|n| {
-        (
-            prop::collection::vec(-MAX_ABS..MAX_ABS, n..=n),
-            prop::collection::vec(-MAX_ABS..MAX_ABS, n..=n),
-        )
-    })
-}
-
-fn matrix(rows: std::ops::RangeInclusive<usize>, cols: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Matrix> {
-    (rows, cols).prop_flat_map(|(r, c)| {
-        prop::collection::vec(-MAX_ABS..MAX_ABS, r * c..=r * c)
-            .prop_map(move |data| Matrix::from_vec(r, c, data))
-    })
-}
-
-/// Plants exact zeros so the matmul zero-skip path is exercised.
-fn matrix_with_zeros(rows: std::ops::RangeInclusive<usize>, cols: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Matrix> {
-    matrix(rows, cols).prop_map(|mut m| {
-        let len = m.as_slice().len();
-        for i in (0..len).step_by(3) {
-            m.as_mut_slice()[i] = 0.0;
-        }
-        m
-    })
-}
 
 fn reduction_tol(reference: f64) -> f64 {
     1e-10 * (1.0 + reference.abs())
@@ -82,15 +60,6 @@ proptest! {
         prop_assert!((fab - sab).abs() <= reduction_tol(sab));
         prop_assert!((faa - saa).abs() <= reduction_tol(saa));
         prop_assert!((fbb - sbb).abs() <= reduction_tol(sbb));
-    }
-
-    // The scalar-kernels knob must restore the serial numerics exactly.
-    #[test]
-    fn scalar_knob_restores_serial_bits((a, b) in vec_pair(100)) {
-        kernels::set_scalar_kernels(true);
-        let knob = kernels::dot(&a, &b);
-        kernels::set_scalar_kernels(false);
-        prop_assert_eq!(knob.to_bits(), kernels::scalar::dot(&a, &b).to_bits());
     }
 
     // Elementwise family: bit-identical to the scalar statements it fuses.
@@ -140,28 +109,6 @@ proptest! {
         prop_assert!(d <= bound, "dot err {d} > {bound}");
         let d = (kernels::squared_distance_f32(&af, &bf) - kernels::squared_distance(&a, &b)).abs();
         prop_assert!(d <= bound, "sqdist err {d} > {bound}");
-    }
-
-    // Blocked matmul is bit-identical to the retained serial product (the
-    // scalar knob selects it, so compare knob-on vs knob-off directly).
-    #[test]
-    fn matmul_bit_identical_to_serial_oracle(
-        a in matrix_with_zeros(1..=13, 1..=9),
-        b in matrix(1..=9, 1..=11),
-    ) {
-        let b = Matrix::from_vec(a.cols(), b.cols(), {
-            let need = a.cols() * b.cols();
-            let mut d: Vec<f64> = b.as_slice().iter().copied().cycle().take(need).collect();
-            d.truncate(need);
-            d
-        });
-        let fast = a.matmul(&b);
-        kernels::set_scalar_kernels(true);
-        let slow = a.matmul(&b);
-        kernels::set_scalar_kernels(false);
-        for (x, y) in fast.as_slice().iter().zip(slow.as_slice()) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
     }
 
     // Covariance: AXPY-tiled upper triangle vs the legacy nested loop.
