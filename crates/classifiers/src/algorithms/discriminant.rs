@@ -4,7 +4,8 @@ use super::encode::DenseEncoder;
 use crate::api::{check_fit_preconditions, Classifier, ClassifierError, TrainedModel};
 use crate::params::ParamConfig;
 use smartml_data::Dataset;
-use smartml_linalg::{cholesky, kernels, solve_lower_triangular, vecops, Matrix};
+use smartml_linalg::{cholesky, kernels, solve_lower_triangular_into, vecops, Matrix};
+use std::sync::Arc;
 
 /// LDA — linear discriminant analysis with a pooled covariance.
 /// Paper space: 1 categorical (`method`: `moment` | `shrinkage`) + 1 numeric
@@ -50,11 +51,17 @@ impl Rda {
 /// Per-class Gaussian with its own (possibly shared) covariance factor.
 struct ClassGaussian {
     mean: Vec<f64>,
-    /// Cholesky factor of the class covariance.
-    chol: Matrix,
+    covariance: Covariance,
+    log_prior: f64,
+}
+
+/// A covariance as the discriminant uses it; LDA's classes share one.
+#[derive(Clone)]
+struct Covariance {
+    /// Cholesky factor.
+    chol: Arc<Matrix>,
     /// log|Σ| (sum of 2·ln diag(L)).
     log_det: f64,
-    log_prior: f64,
 }
 
 struct GaussianDiscriminant {
@@ -65,6 +72,9 @@ struct GaussianDiscriminant {
 impl TrainedModel for GaussianDiscriminant {
     fn predict_proba(&self, data: &Dataset, rows: &[usize]) -> Vec<Vec<f64>> {
         let x = self.encoder.encode(data, rows);
+        // Scratch for x-μ and L⁻¹(x-μ), reused by every (row, class).
+        let mut diff = vec![0.0; x.cols()];
+        let mut z = vec![0.0; x.cols()];
         (0..x.rows())
             .map(|r| {
                 let row = x.row(r);
@@ -74,11 +84,12 @@ impl TrainedModel for GaussianDiscriminant {
                     .map(|cg| match cg {
                         Some(cg) => {
                             // Mahalanobis via triangular solve: ‖L⁻¹(x-μ)‖².
-                            let diff: Vec<f64> =
-                                row.iter().zip(&cg.mean).map(|(a, b)| a - b).collect();
-                            let z = solve_lower_triangular(&cg.chol, &diff);
+                            for (d, (a, b)) in diff.iter_mut().zip(row.iter().zip(&cg.mean)) {
+                                *d = a - b;
+                            }
+                            solve_lower_triangular_into(&cg.covariance.chol, &diff, &mut z);
                             let maha: f64 = z.iter().map(|v| v * v).sum();
-                            cg.log_prior - 0.5 * (maha + cg.log_det)
+                            cg.log_prior - 0.5 * (maha + cg.covariance.log_det)
                         }
                         None => f64::NEG_INFINITY,
                     })
@@ -148,21 +159,16 @@ fn scatter_stats(x: &Matrix, y: &[u32], n_classes: usize) -> ScatterStats {
     ScatterStats { means, scatters, counts, pooled, n, d }
 }
 
-/// Builds a [`ClassGaussian`] from a covariance matrix, adding diagonal
-/// jitter until Cholesky succeeds.
-fn class_gaussian(
-    mean: Vec<f64>,
-    mut cov: Matrix,
-    log_prior: f64,
-    algorithm: &'static str,
-) -> Result<ClassGaussian, ClassifierError> {
+/// Factors a covariance matrix, adding diagonal jitter until Cholesky
+/// succeeds.
+fn factor(mut cov: Matrix, algorithm: &'static str) -> Result<Covariance, ClassifierError> {
     let d = cov.rows();
     let mut jitter = 1e-8;
     for _ in 0..12 {
         match cholesky(&cov) {
             Ok(chol) => {
                 let log_det = (0..d).map(|i| 2.0 * chol[(i, i)].ln()).sum();
-                return Ok(ClassGaussian { mean, chol, log_det, log_prior });
+                return Ok(Covariance { chol: Arc::new(chol), log_det });
             }
             Err(_) => {
                 for i in 0..d {
@@ -184,6 +190,16 @@ impl Classifier for Lda {
     }
 
     fn fit(&self, data: &Dataset, rows: &[usize]) -> Result<Box<dyn TrainedModel>, ClassifierError> {
+        Ok(Box::new(self.fit_gaussians(data, rows)?))
+    }
+}
+
+impl Lda {
+    fn fit_gaussians(
+        &self,
+        data: &Dataset,
+        rows: &[usize],
+    ) -> Result<GaussianDiscriminant, ClassifierError> {
         let n_classes = check_fit_preconditions("LDA", data, rows, 4)?;
         let (encoder, x) = DenseEncoder::fit(data, rows, true);
         let y = data.labels_for(rows);
@@ -204,22 +220,19 @@ impl Classifier for Lda {
                 pooled[(i, i)] += self.tol.max(1e-9);
             }
         }
+        // One factorisation, shared by every class.
+        let covariance = factor(pooled, "LDA")?;
         let n = stats.n as f64;
-        let mut classes = Vec::with_capacity(n_classes);
-        for c in 0..n_classes {
-            if stats.counts[c] == 0 {
-                classes.push(None);
-                continue;
-            }
-            let log_prior = (stats.counts[c] as f64 / n).ln();
-            classes.push(Some(class_gaussian(
-                stats.means[c].clone(),
-                pooled.clone(),
-                log_prior,
-                "LDA",
-            )?));
-        }
-        Ok(Box::new(GaussianDiscriminant { encoder, classes }))
+        let classes = (0..n_classes)
+            .map(|c| {
+                (stats.counts[c] > 0).then(|| ClassGaussian {
+                    mean: stats.means[c].clone(),
+                    covariance: covariance.clone(),
+                    log_prior: (stats.counts[c] as f64 / n).ln(),
+                })
+            })
+            .collect();
+        Ok(GaussianDiscriminant { encoder, classes })
     }
 }
 
@@ -229,6 +242,16 @@ impl Classifier for Rda {
     }
 
     fn fit(&self, data: &Dataset, rows: &[usize]) -> Result<Box<dyn TrainedModel>, ClassifierError> {
+        Ok(Box::new(self.fit_gaussians(data, rows)?))
+    }
+}
+
+impl Rda {
+    fn fit_gaussians(
+        &self,
+        data: &Dataset,
+        rows: &[usize],
+    ) -> Result<GaussianDiscriminant, ClassifierError> {
         let n_classes = check_fit_preconditions("RDA", data, rows, 4)?;
         let (encoder, x) = DenseEncoder::fit(data, rows, true);
         let y = data.labels_for(rows);
@@ -252,10 +275,13 @@ impl Classifier for Rda {
             for i in 0..d {
                 cov[(i, i)] += self.gamma * trace_over_d + 1e-8;
             }
-            let log_prior = (nk / n).ln();
-            classes.push(Some(class_gaussian(stats.means[c].clone(), cov, log_prior, "RDA")?));
+            classes.push(Some(ClassGaussian {
+                mean: stats.means[c].clone(),
+                covariance: factor(cov, "RDA")?,
+                log_prior: (nk / n).ln(),
+            }));
         }
-        Ok(Box::new(GaussianDiscriminant { encoder, classes }))
+        Ok(GaussianDiscriminant { encoder, classes })
     }
 }
 
@@ -269,6 +295,69 @@ mod tests {
         let (train, test): (Vec<usize>, Vec<usize>) = (0..d.n_rows()).partition(|i| i % 2 == 0);
         let model = clf.fit(d, &train).unwrap();
         accuracy(&d.labels_for(&test), &model.predict(d, &test))
+    }
+
+    /// `predict_proba` as it was before the scratch buffers: a fresh `diff`
+    /// and a fresh solve result per (row, class).
+    fn predict_proba_allocating(
+        model: &GaussianDiscriminant,
+        data: &Dataset,
+        rows: &[usize],
+    ) -> Vec<Vec<f64>> {
+        let x = model.encoder.encode(data, rows);
+        (0..x.rows())
+            .map(|r| {
+                let mut scores: Vec<f64> = model
+                    .classes
+                    .iter()
+                    .map(|cg| match cg {
+                        Some(cg) => {
+                            let diff: Vec<f64> =
+                                x.row(r).iter().zip(&cg.mean).map(|(a, b)| a - b).collect();
+                            let z =
+                                smartml_linalg::solve_lower_triangular(&cg.covariance.chol, &diff);
+                            let maha: f64 = z.iter().map(|v| v * v).sum();
+                            cg.log_prior - 0.5 * (maha + cg.covariance.log_det)
+                        }
+                        None => f64::NEG_INFINITY,
+                    })
+                    .collect();
+                vecops::softmax_inplace(&mut scores);
+                scores
+            })
+            .collect()
+    }
+
+    #[test]
+    fn predict_proba_is_bit_identical_to_the_allocating_path() {
+        let bits = |p: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+            p.into_iter().map(|row| row.into_iter().map(f64::to_bits).collect()).collect()
+        };
+        for (d, held_out) in [
+            (gaussian_blobs("b", 180, 7, 4, 1.3, 11), 1),
+            (imbalanced_mixture("i", 200, 5, 3, 2.0, 12), 2),
+        ] {
+            let (train, test): (Vec<usize>, Vec<usize>) =
+                (0..d.n_rows()).partition(|i| i % 3 != held_out);
+            let models = [
+                Lda { shrinkage: false, tol: 1e-4 }.fit_gaussians(&d, &train).unwrap(),
+                Lda { shrinkage: true, tol: 0.3 }.fit_gaussians(&d, &train).unwrap(),
+                Rda { gamma: 0.2, lambda: 0.6 }.fit_gaussians(&d, &train).unwrap(),
+                Rda { gamma: 0.0, lambda: 0.0 }.fit_gaussians(&d, &train).unwrap(),
+            ];
+            for model in &models {
+                assert_eq!(
+                    bits(model.predict_proba(&d, &test)),
+                    bits(predict_proba_allocating(model, &d, &test))
+                );
+            }
+            // LDA's classes point at one factor; RDA's each own theirs.
+            let factors = |m: &GaussianDiscriminant| -> Vec<Arc<Matrix>> {
+                m.classes.iter().flatten().map(|cg| cg.covariance.chol.clone()).collect()
+            };
+            assert!(factors(&models[0]).windows(2).all(|w| Arc::ptr_eq(&w[0], &w[1])));
+            assert!(factors(&models[2]).windows(2).all(|w| !Arc::ptr_eq(&w[0], &w[1])));
+        }
     }
 
     #[test]

@@ -5,9 +5,19 @@
 //! `?` missing values. Sparse ARFF and date/string attributes are not
 //! supported (the paper's pipeline does not use them); encountering one is a
 //! parse error rather than silent misreading.
+//!
+//! Data cells go straight into the column builders the CSV reader uses
+//! ([`super::columns`]). A declaration is enforced on every cell: a value
+//! outside a nominal attribute's domain, or one that is not a number under
+//! a numeric attribute, is a parse error naming line and attribute. A
+//! nominal attribute's levels are the values that occur, in first-appearance
+//! order, and one whose values all parse as numbers (`{0,1}`) is a numeric
+//! feature, as in the CSV reader. The first error in file order is reported.
 
+use std::borrow::Cow;
+
+use super::columns::{into_dataset, Column};
 use crate::dataset::{Dataset, DatasetError};
-use crate::io::csv::columns_to_dataset;
 
 #[derive(Debug)]
 enum AttrType {
@@ -18,10 +28,12 @@ enum AttrType {
 /// Parses ARFF text into a [`Dataset`]. The last attribute is the class.
 pub fn parse_arff(name: &str, text: &str) -> Result<Dataset, DatasetError> {
     let mut attrs: Vec<(String, AttrType)> = Vec::new();
-    let mut rows: Vec<Vec<Option<String>>> = Vec::new();
+    // One builder per attribute, made at `@data`.
+    let mut columns: Vec<Column> = Vec::new();
     let mut in_data = false;
+    let mut n_rows = 0;
     for (line_no, raw) in text.lines().enumerate() {
-        let line = strip_comment(raw).trim().to_string();
+        let line = strip_comment(raw).trim();
         if line.is_empty() {
             continue;
         }
@@ -41,6 +53,15 @@ pub fn parse_arff(name: &str, text: &str) -> Result<Dataset, DatasetError> {
                 if attrs.len() < 2 {
                     return Err(err("need at least one feature and a class attribute"));
                 }
+                // The class is read as text whatever its declaration says.
+                columns = attrs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (_, attr_type))| match attr_type {
+                        AttrType::Numeric if i + 1 < attrs.len() => Column::inferred(),
+                        _ => Column::categorical(),
+                    })
+                    .collect();
                 in_data = true;
             } else {
                 return Err(err(&format!("unexpected header line '{line}'")));
@@ -49,43 +70,46 @@ pub fn parse_arff(name: &str, text: &str) -> Result<Dataset, DatasetError> {
             if line.starts_with('{') {
                 return Err(err("sparse ARFF rows are not supported"));
             }
-            let fields: Vec<Option<String>> = line
-                .split(',')
-                .map(|f| {
-                    let t = f.trim().trim_matches('\'').trim_matches('"');
-                    if t.is_empty() || t == "?" {
-                        None
-                    } else {
-                        Some(t.to_string())
-                    }
-                })
-                .collect();
-            if fields.len() != attrs.len() {
-                return Err(err(&format!(
-                    "{} fields, expected {}",
-                    fields.len(),
-                    attrs.len()
-                )));
+            let n_fields = line.split(',').count();
+            if n_fields != attrs.len() {
+                return Err(err(&format!("{n_fields} fields, expected {}", attrs.len())));
             }
-            // Validate nominal values against their declared domain.
-            for (f, (attr_name, attr_type)) in fields.iter().zip(&attrs) {
-                if let (Some(v), AttrType::Nominal(levels)) = (f, attr_type) {
-                    if !levels.iter().any(|l| l == v) {
-                        return Err(err(&format!(
-                            "value '{v}' not in domain of nominal attribute '{attr_name}'"
-                        )));
+            for (i, (field, column)) in line.split(',').zip(&mut columns).enumerate() {
+                let (attr_name, attr_type) = &attrs[i];
+                let is_class = i + 1 == attrs.len();
+                let value = field.trim().trim_matches('\'').trim_matches('"');
+                let cell = (!value.is_empty() && value != "?").then_some(value);
+                if is_class && cell.is_none() {
+                    return Err(err("missing class label"));
+                }
+                column.push(cell.map(Cow::Borrowed));
+                // A declaration is a promise about every cell. A numeric
+                // feature column stops being numeric only on a cell that is
+                // not a number; the class column never was, so ask its text.
+                let broken = match (cell, attr_type) {
+                    (None, _) => None,
+                    (Some(v), AttrType::Nominal(levels)) => {
+                        (!levels.iter().any(|l| l == v)).then_some("not in domain of nominal")
                     }
+                    (Some(v), AttrType::Numeric) => {
+                        let number =
+                            if is_class { v.parse::<f64>().is_ok() } else { column.is_numeric() };
+                        (!number).then_some("not a number under numeric")
+                    }
+                };
+                if let Some(why) = broken {
+                    return Err(err(&format!("value '{value}' {why} attribute '{attr_name}'")));
                 }
             }
-            rows.push(fields);
+            n_rows += 1;
         }
     }
-    if rows.is_empty() {
+    if n_rows == 0 {
         return Err(DatasetError::Parse("no data rows".into()));
     }
-    let header: Vec<String> = attrs.iter().map(|(n, _)| n.clone()).collect();
-    let target_idx = attrs.len() - 1;
-    columns_to_dataset(name, &header, &rows, target_idx)
+    let names = attrs.into_iter().map(|(attr_name, _)| attr_name).collect();
+    let target = columns.len() - 1;
+    into_dataset(name, names, columns, target)
 }
 
 fn strip_comment(line: &str) -> &str {
@@ -198,5 +222,57 @@ rainy, 70, 12.0, yes  % inline comment
             Feature::Numeric { values, .. } => assert_eq!(values, &[85.0, 83.0, 70.0]),
             _ => panic!("expected numeric"),
         }
+    }
+
+    #[test]
+    fn declared_numeric_rejects_a_non_number() {
+        let bad = SAMPLE.replace("overcast, 83", "overcast, warm");
+        assert_eq!(
+            parse_arff("w", &bad).unwrap_err().to_string(),
+            "parse error: line 9: value 'warm' not a number under numeric attribute 'temperature'"
+        );
+        // The class attribute keeps its promise too.
+        let text = "@relation r\n@attribute a real\n@attribute c integer\n@data\n1,0\n2,one\n";
+        assert_eq!(
+            parse_arff("c", text).unwrap_err().to_string(),
+            "parse error: line 6: value 'one' not a number under numeric attribute 'c'"
+        );
+    }
+
+    #[test]
+    fn nominal_levels_in_first_appearance_order() {
+        let d = parse_arff("weather", SAMPLE).unwrap();
+        match d.feature(0) {
+            Feature::Categorical { codes, levels, .. } => {
+                assert_eq!(levels, &["sunny", "overcast", "rainy"]);
+                assert_eq!(codes, &[0, 1, 2]);
+            }
+            _ => panic!("expected categorical"),
+        }
+        // Declared {yes, no}, but `no` occurs first.
+        assert_eq!(d.labels(), &[0, 1, 1]);
+    }
+
+    #[test]
+    fn nominal_of_numbers_is_a_numeric_feature() {
+        let text = "@relation r\n@attribute f {0,1}\n@attribute c {x,y}\n@data\n1,x\n?,y\n0,x\n";
+        let d = parse_arff("n", text).unwrap();
+        match d.feature(0) {
+            Feature::Numeric { values, .. } => {
+                assert_eq!(values[0], 1.0);
+                assert!(values[1].is_nan());
+                assert_eq!(values[2], 0.0);
+            }
+            _ => panic!("expected numeric"),
+        }
+    }
+
+    #[test]
+    fn missing_label_names_its_line() {
+        let text = "@relation r\n@attribute a numeric\n@attribute c {x,y}\n@data\n1,x\n\n2,?\n";
+        assert_eq!(
+            parse_arff("m", text).unwrap_err().to_string(),
+            "parse error: line 7: missing class label"
+        );
     }
 }

@@ -1,6 +1,7 @@
 //! Dataset readers for the two input formats SmartML accepts: CSV and ARFF.
 
 mod arff;
+mod columns;
 mod csv;
 mod writer;
 

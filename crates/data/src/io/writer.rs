@@ -1,37 +1,31 @@
 //! Dataset writers: serialise a [`Dataset`] back to CSV or ARFF text.
-//! Round-trips with the readers in this module (modulo float formatting).
+//!
+//! `parse_csv(write_csv(d))` gives `d` back exactly (floats are written in
+//! Rust's shortest round-trip form) as long as class names and levels are
+//! in first-appearance order and no name is one the reader cannot express:
+//! empty, `?`, padded with spaces, or spanning lines. The ARFF reader has
+//! no quoting, so there names must also be free of commas.
+
+use std::fmt::Write as _;
 
 use crate::dataset::{Dataset, Feature, MISSING_CODE};
 
 /// Serialises a dataset to CSV with a header row; the label column comes
-/// last, named `class`. Missing values are written as `?`.
+/// last, named `class`. Missing values are written as `?`; a name holding
+/// a comma or a quote is quoted per RFC 4180, and only then.
 pub fn write_csv(data: &Dataset) -> String {
     let mut out = String::new();
-    let mut header: Vec<String> = data.features().iter().map(|f| f.name().to_string()).collect();
-    header.push("class".into());
-    out.push_str(&header.join(","));
-    out.push('\n');
+    for feature in data.features() {
+        push_csv_field(&mut out, feature.name());
+        out.push(',');
+    }
+    out.push_str("class\n");
     for row in 0..data.n_rows() {
         for feature in data.features() {
-            match feature {
-                Feature::Numeric { values, .. } => {
-                    if values[row].is_nan() {
-                        out.push('?');
-                    } else {
-                        out.push_str(&format!("{}", values[row]));
-                    }
-                }
-                Feature::Categorical { codes, levels, .. } => {
-                    if codes[row] == MISSING_CODE {
-                        out.push('?');
-                    } else {
-                        out.push_str(&levels[codes[row] as usize]);
-                    }
-                }
-            }
+            push_cell(&mut out, feature, row, push_csv_field);
             out.push(',');
         }
-        out.push_str(&data.class_names()[data.label(row) as usize]);
+        push_csv_field(&mut out, &data.class_names()[data.label(row) as usize]);
         out.push('\n');
     }
     out
@@ -57,30 +51,37 @@ pub fn write_arff(data: &Dataset) -> String {
     }
     out.push_str(&format!("@attribute class {{{}}}\n@data\n", data.class_names().join(",")));
     for row in 0..data.n_rows() {
-        let mut cells: Vec<String> = Vec::with_capacity(data.n_features() + 1);
         for feature in data.features() {
-            match feature {
-                Feature::Numeric { values, .. } => {
-                    cells.push(if values[row].is_nan() {
-                        "?".into()
-                    } else {
-                        format!("{}", values[row])
-                    });
-                }
-                Feature::Categorical { codes, levels, .. } => {
-                    cells.push(if codes[row] == MISSING_CODE {
-                        "?".into()
-                    } else {
-                        levels[codes[row] as usize].clone()
-                    });
-                }
-            }
+            push_cell(&mut out, feature, row, String::push_str);
+            out.push(',');
         }
-        cells.push(data.class_names()[data.label(row) as usize].clone());
-        out.push_str(&cells.join(","));
+        out.push_str(&data.class_names()[data.label(row) as usize]);
         out.push('\n');
     }
     out
+}
+
+/// Appends one feature cell: `?` if missing, else the number in shortest
+/// round-trip form or the level as `push_name` writes names.
+fn push_cell(out: &mut String, feature: &Feature, row: usize, push_name: fn(&mut String, &str)) {
+    match feature {
+        Feature::Numeric { values, .. } if values[row].is_nan() => out.push('?'),
+        Feature::Numeric { values, .. } => {
+            write!(out, "{}", values[row]).expect("writing to a String cannot fail");
+        }
+        Feature::Categorical { codes, .. } if codes[row] == MISSING_CODE => out.push('?'),
+        Feature::Categorical { codes, levels, .. } => push_name(out, &levels[codes[row] as usize]),
+    }
+}
+
+fn push_csv_field(out: &mut String, text: &str) {
+    if text.contains([',', '"']) {
+        out.push('"');
+        out.push_str(&text.replace('"', "\"\""));
+        out.push('"');
+    } else {
+        out.push_str(text);
+    }
 }
 
 /// Replaces whitespace in attribute/relation names (readers treat names as
@@ -178,5 +179,77 @@ mod tests {
         let d = with_missing();
         let text = write_arff(&d);
         assert!(text.starts_with("@relation writer_test\n"));
+    }
+
+    #[test]
+    fn csv_roundtrip_is_exact_with_names_that_need_quoting() {
+        // Levels and class names in first-appearance order, as a reader
+        // numbers them.
+        let d = Dataset::new(
+            "quoted",
+            vec![
+                Feature::Numeric {
+                    name: "width, mm".into(),
+                    values: vec![0.1, f64::NAN, -2.5e-7, f64::INFINITY],
+                },
+                Feature::Categorical {
+                    name: "the \"kind\"".into(),
+                    codes: vec![0, 1, MISSING_CODE, 2],
+                    levels: vec!["a,b".into(), "say \"hi\"".into(), "plain".into()],
+                },
+            ],
+            vec![0, 1, 1, 2],
+            vec!["yes, really".into(), "\"no\"".into(), "maybe".into()],
+        )
+        .unwrap();
+        let text = write_csv(&d);
+        assert!(text.starts_with(
+            "\"width, mm\",\"the \"\"kind\"\"\",class\n0.1,\"a,b\",\"yes, really\"\n"
+        ));
+        let back = parse_csv("quoted", &text, None).unwrap();
+        assert_eq!(back.labels(), d.labels());
+        assert_eq!(back.class_names(), d.class_names());
+        assert_eq!(back.feature(1), d.feature(1));
+        match (back.feature(0), d.feature(0)) {
+            (
+                Feature::Numeric { name: na, values: va },
+                Feature::Numeric { name: nb, values: vb },
+            ) => {
+                assert_eq!(na, nb);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+                assert_eq!(bits(va), bits(vb));
+            }
+            _ => panic!("expected numeric"),
+        }
+    }
+
+    /// The synthetic corpora have no name that needs quoting: their text
+    /// is what the plain join-with-commas writer produced.
+    #[test]
+    fn csv_of_a_table4_analogue_is_unquoted_and_unchanged() {
+        use crate::synth::benchmark_suite;
+        let d = benchmark_suite()[0].generate(2019);
+        let mut expected: Vec<String> = d.features().iter().map(|f| f.name().to_string()).collect();
+        expected.push("class\n".into());
+        let mut expected = expected.join(",");
+        for row in 0..d.n_rows() {
+            for feature in d.features() {
+                expected.push_str(&match feature {
+                    Feature::Numeric { values, .. } if values[row].is_nan() => "?".to_string(),
+                    Feature::Numeric { values, .. } => format!("{}", values[row]),
+                    Feature::Categorical { codes, .. } if codes[row] == MISSING_CODE => {
+                        "?".to_string()
+                    }
+                    Feature::Categorical { codes, levels, .. } => {
+                        levels[codes[row] as usize].clone()
+                    }
+                });
+                expected.push(',');
+            }
+            expected.push_str(&d.class_names()[d.label(row) as usize]);
+            expected.push('\n');
+        }
+        assert_eq!(write_csv(&d), expected);
+        assert!(!expected.contains('"'));
     }
 }

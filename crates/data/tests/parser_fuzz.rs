@@ -4,9 +4,9 @@
 use proptest::prelude::*;
 use smartml_data::io::{parse_arff, parse_csv};
 
+// The default configuration: 256 cases, or `PROPTEST_CASES` of them
+// (`scripts/verify.sh` runs 2048 in release).
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
     #[test]
     fn csv_never_panics_on_arbitrary_text(text in ".{0,400}") {
         let _ = parse_csv("fuzz", &text, None);

@@ -141,10 +141,18 @@ pub fn cholesky(a: &Matrix) -> Result<Matrix, LinalgError> {
 
 /// Solves `L x = b` where `L` is lower triangular with nonzero diagonal.
 pub fn solve_lower_triangular(l: &Matrix, b: &[f64]) -> Vec<f64> {
+    let mut x = vec![0.0; b.len()];
+    solve_lower_triangular_into(l, b, &mut x);
+    x
+}
+
+/// [`solve_lower_triangular`] into the caller's buffer, for solves in a
+/// loop: same operations in the same order, no allocation.
+pub fn solve_lower_triangular_into(l: &Matrix, b: &[f64], x: &mut [f64]) {
     let n = l.rows();
     assert_eq!(l.cols(), n);
     assert_eq!(b.len(), n);
-    let mut x = vec![0.0; n];
+    assert_eq!(x.len(), n);
     for i in 0..n {
         let mut s = b[i];
         for j in 0..i {
@@ -152,7 +160,6 @@ pub fn solve_lower_triangular(l: &Matrix, b: &[f64]) -> Vec<f64> {
         }
         x[i] = s / l[(i, i)];
     }
-    x
 }
 
 /// Symmetric eigendecomposition via the cyclic Jacobi method.

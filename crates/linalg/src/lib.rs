@@ -18,7 +18,10 @@ mod matrix;
 mod stats;
 pub mod vecops;
 
-pub use decomp::{cholesky, eigh, lu_decompose, solve, solve_lower_triangular, LinalgError};
+pub use decomp::{
+    cholesky, eigh, lu_decompose, solve, solve_lower_triangular, solve_lower_triangular_into,
+    LinalgError,
+};
 pub use matrix::Matrix;
 pub use stats::{column_means, covariance_matrix, pearson_correlation};
 #[doc(hidden)]
