@@ -43,12 +43,13 @@
 //! ```
 
 mod backend;
+mod index;
 mod query;
 mod store;
 
 pub use backend::KbBackend;
+pub use index::{check_carried, check_landmarkers, check_meta_features, FeatureTable, ZIndex};
 pub use query::{
-    entry_distance, normalisation_stats_over, normalise, vote_ranked, AlgorithmRecommendation,
-    NormStats, QueryOptions, Recommendation,
+    vote_ranked, AlgorithmRecommendation, NormStats, QueryOptions, Recommendation,
 };
 pub use store::{AlgorithmRun, KbEntry, KbError, KnowledgeBase};

@@ -136,10 +136,9 @@ impl KnowledgeBase {
 }
 
 /// [`KnowledgeBase::normalisation_stats`] over an explicit feature
-/// sequence. Float summation follows slice order, so a sharded index
-/// that assembles features in global insertion order gets statistics
-/// bit-identical to a single monolithic KB holding the same entries.
-pub fn normalisation_stats_over(features: &[&[f64]]) -> NormStats {
+/// sequence. Float summation follows slice order: the reference a
+/// [`crate::ZIndex`] rebuild must match bit for bit.
+pub(crate) fn normalisation_stats_over(features: &[&[f64]]) -> NormStats {
     let n = features.len() as f64;
     let mut means = vec![0.0; N_META_FEATURES];
     for values in features {
@@ -165,15 +164,20 @@ pub fn normalisation_stats_over(features: &[&[f64]]) -> NormStats {
     NormStats { means, stds }
 }
 
+/// The z-score of one value: the one place the expression is written,
+/// so the monolithic query and [`crate::ZIndex`] cannot round apart.
+#[inline]
+pub(crate) fn z_score(value: f64, mean: f64, std: f64) -> f64 {
+    (value - mean) / std
+}
+
 /// Z-scores a feature vector against per-feature `means`/`stds`.
-/// Exported so a serving index can pre-normalise entries once per write
-/// generation instead of on every query.
-pub fn normalise(values: &[f64], means: &[f64], stds: &[f64]) -> Vec<f64> {
+pub(crate) fn normalise(values: &[f64], means: &[f64], stds: &[f64]) -> Vec<f64> {
     values
         .iter()
         .zip(means)
         .zip(stds)
-        .map(|((v, m), s)| (v - m) / s)
+        .map(|((&v, &m), &s)| z_score(v, m, s))
         .collect()
 }
 
@@ -181,7 +185,7 @@ pub fn normalise(values: &[f64], means: &[f64], stds: &[f64]) -> Vec<f64> {
 /// extended with landmarker accuracies (the `use_landmarkers` ablation:
 /// the two accuracies join the distance scaled ×3, since they live in
 /// `[0,1]` while z-scores spread wider).
-pub fn entry_distance(
+pub(crate) fn entry_distance(
     query_z: &[f64],
     entry_z: &[f64],
     entry_landmarkers: Option<Landmarkers>,
@@ -202,8 +206,8 @@ pub fn entry_distance(
 
 /// The paper's two-factor vote over an already-ranked neighbour set
 /// (nearest first, already truncated to `n_neighbors`). Factored out of
-/// [`KnowledgeBase::recommend_extended_with_stats`] so a sharded index
-/// can rank per shard, merge, and still produce byte-identical
+/// [`KnowledgeBase::recommend_extended_with_stats`] so a serving index
+/// can rank with a [`crate::ZIndex`] and still produce byte-identical
 /// recommendations: given the same ranked entries in the same order,
 /// every float operation here runs in the same sequence.
 pub fn vote_ranked(ranked: &[(&KbEntry, f64)], options: &QueryOptions) -> Recommendation {
@@ -243,7 +247,7 @@ pub fn vote_ranked(ranked: &[(&KbEntry, f64)], options: &QueryOptions) -> Recomm
 fn euclidean(a: &[f64], b: &[f64]) -> f64 {
     // Lane-chunked kernel: breaks the serial add dependency chain the
     // naive fold has, which is most of the per-entry query cost. Every
-    // caller of `entry_distance` (monolithic KB and sharded index alike)
+    // caller of `entry_distance` (monolithic KB and `ZIndex` alike)
     // goes through here, so backends stay byte-identical to each other.
     smartml_linalg::kernels::squared_distance(a, b).sqrt()
 }

@@ -66,6 +66,10 @@ pub enum KbError {
     /// A remote or service-backed knowledge base failed (connection,
     /// protocol, or server-side error).
     Backend(String),
+    /// The caller handed over meta-features or landmarkers no store can
+    /// index (see [`crate::check_meta_features`]); nothing was logged or
+    /// applied.
+    Invalid(String),
 }
 
 impl std::fmt::Display for KbError {
@@ -79,6 +83,7 @@ impl std::fmt::Display for KbError {
                 write!(f, "knowledge base is corrupt: {detail}")
             }
             KbError::Backend(msg) => write!(f, "knowledge base backend error: {msg}"),
+            KbError::Invalid(msg) => write!(f, "invalid knowledge base input: {msg}"),
         }
     }
 }

@@ -21,7 +21,8 @@ use crate::wal::{
 };
 use serde::{Deserialize, Serialize};
 use smartml_kb::{
-    AlgorithmRun, KbBackend, KbError, KnowledgeBase, QueryOptions, Recommendation,
+    check_carried, check_landmarkers, check_meta_features, AlgorithmRun, KbBackend, KbError, KnowledgeBase,
+    QueryOptions, Recommendation,
 };
 use smartml_metafeatures::{Landmarkers, MetaFeatures};
 use std::fs::{File, OpenOptions};
@@ -91,6 +92,38 @@ pub(crate) fn write_snapshot_meta(dir: &Path, seq: u64, applied_seq: u64) -> Res
     Ok(())
 }
 
+/// What an entry or record read from `path` (when there is one) failed
+/// [`check_meta_features`] or [`check_landmarkers`] with, as
+/// [`KbError::Corrupt`] naming the dataset. Applied, it would poison
+/// every later query — refuse, never index.
+fn unindexable(path: Option<&Path>, dataset_id: &str, why: String) -> KbError {
+    KbError::Corrupt {
+        path: path.map(Path::to_path_buf),
+        detail: format!("dataset `{dataset_id}`: {why}"),
+    }
+}
+
+/// Refuses a loaded or shipped snapshot holding an unindexable entry.
+pub(crate) fn check_entries(path: Option<&Path>, kb: &KnowledgeBase) -> Result<(), KbError> {
+    kb.entries().iter().try_for_each(|e| {
+        check_carried(&e.meta_features.values, e.landmarkers)
+            .map_err(|why| unindexable(path, &e.dataset_id, why))
+    })
+}
+
+/// Refuses a scanned or shipped WAL span holding an unindexable record.
+pub(crate) fn check_records(path: Option<&Path>, records: &[WalRecord]) -> Result<(), KbError> {
+    records.iter().try_for_each(|record| match record {
+        WalRecord::Run { dataset_id, meta_features, .. } => {
+            check_meta_features(&meta_features.values)
+                .map_err(|why| unindexable(path, dataset_id, why))
+        }
+        WalRecord::Landmarkers { dataset_id, landmarkers } => {
+            check_landmarkers(*landmarkers).map_err(|why| unindexable(path, dataset_id, why))
+        }
+    })
+}
+
 /// Replays a KB directory: latest snapshot, then every newer segment in
 /// order (truncating a torn tail), and opens the writer positioned on
 /// the highest segment. Shared by [`DurableKb`] and the sharded index,
@@ -103,7 +136,12 @@ pub(crate) fn recover_dir(
     let snapshots = list_seqs(dir, parse_snapshot_name)?;
     let snapshot_seq = snapshots.last().copied();
     let mut kb = match snapshot_seq {
-        Some(seq) => KnowledgeBase::load(&dir.join(snapshot_name(seq)))?,
+        Some(seq) => {
+            let path = dir.join(snapshot_name(seq));
+            let kb = KnowledgeBase::load(&path)?;
+            check_entries(Some(&path), &kb)?;
+            kb
+        }
         None => KnowledgeBase::new(),
     };
     let mut recovery = RecoveryReport { snapshot_seq, ..Default::default() };
@@ -137,6 +175,7 @@ pub(crate) fn recover_dir(
             f.sync_all()?;
             recovery.truncated_tail = true;
         }
+        check_records(Some(&path), &scan.records)?;
         for record in &scan.records {
             record.apply_to(&mut kb);
         }

@@ -11,7 +11,7 @@
 //! |-------|------|--------------|
 //! | durability | [`DurableKb`] | write-ahead log with checksummed frames, segment rotation, snapshot + compaction, torn-tail crash recovery |
 //! | concurrency | [`SharedKb`] | `RwLock`-guarded index with generation-keyed cached z-score statistics: readers never pay re-normalisation, never block each other |
-//! | sharding | [`ShardedKb`] | the same WAL under an index split by meta-feature hash: writes lock one shard, reads reuse per-generation pre-normalised entries, answers byte-identical to the monolithic KB |
+//! | sharding | [`ShardedKb`] | the same WAL under entries split by meta-feature hash: writes lock one shard, reads scan one flat z-score matrix rebuilt in place when a feature row changes, answers byte-identical to the monolithic KB |
 //! | serving | [`Server`] / [`EventServer`] / [`KbClient`] | `smartmld`, a TCP JSON-lines server in two interchangeable backends — blocking thread-per-connection (the retained oracle) and epoll event loops with pipelining and a `recommend_batch` verb — plus a blocking client that is also a [`smartml_kb::KbBackend`] |
 //!
 //! ```no_run

@@ -15,7 +15,10 @@ use crate::wal::{
     frames_prefix, list_seqs, parse_segment_name, parse_snapshot_name, segment_name,
     snapshot_name, WAL_FSYNCS, WAL_ROTATIONS,
 };
-use smartml_kb::{AlgorithmRun, KbError, QueryOptions, Recommendation};
+use smartml_kb::{
+    check_carried, check_landmarkers, check_meta_features, AlgorithmRun, KbError, QueryOptions,
+    Recommendation,
+};
 use smartml_metafeatures::{Landmarkers, MetaFeatures};
 use smartml_obs::{Counter, Gauge, Histogram};
 use std::fs::File;
@@ -497,6 +500,23 @@ pub(crate) fn dispatch<S: ServeStore>(
             REQ_NOT_PRIMARY.inc();
             return (Response::NotPrimary { primary }, false);
         }
+    }
+    // Meta-features and landmarkers are checked here, where they enter:
+    // values no store can index are refused before they reach a WAL or
+    // a scan.
+    let carried = match &request {
+        Request::Recommend { meta_features, landmarkers, .. } => {
+            check_carried(&meta_features.values, *landmarkers)
+        }
+        Request::RecommendBatch { queries } => {
+            queries.iter().try_for_each(|q| check_carried(&q.meta_features.values, q.landmarkers))
+        }
+        Request::RecordRun { meta_features, .. } => check_meta_features(&meta_features.values),
+        Request::SetLandmarkers { landmarkers, .. } => check_landmarkers(*landmarkers),
+        _ => Ok(()),
+    };
+    if let Err(why) = carried {
+        return (Response::Error { message: format!("bad request: {why}") }, false);
     }
     let response = match request {
         Request::Recommend { meta_features, landmarkers, options } => {

@@ -1,92 +1,88 @@
-//! [`ShardedKb`]: the KB index split across N shards for the
-//! event-driven server.
+//! [`ShardedKb`]: the KB index of the event-driven server — entries
+//! split across N shards, queries answered from one dense index.
 //!
 //! A recommendation is a global nearest-neighbour scan, so sharding
-//! cannot partition *queries* — every query touches every shard. What
-//! it partitions is **write contention** and **per-query recompute**:
+//! cannot partition *queries*: every query looks at every dataset. The
+//! scan therefore does not walk the shards at all. It walks one flat
+//! z-score matrix in global insertion order:
 //!
-//! - each dataset lives in exactly one shard, chosen by an FNV hash of
-//!   its meta-features at first insertion (sticky thereafter, so
-//!   overwritten meta-features never migrate an entry mid-flight);
-//! - a write locks the WAL, the registry, and *one* shard — concurrent
-//!   readers of other shards never queue behind it for entry access;
-//! - each shard caches its z-score-normalised entries per write
-//!   generation, so the steady-state query does no per-entry
-//!   normalisation allocations at all — just distance arithmetic.
+//! - the registry keeps every dataset's current meta-features in a
+//!   [`FeatureTable`] — row-major, one row per dataset, row = insertion
+//!   sequence — and a `sequence → (shard, index in shard)` table;
+//! - a [`ZIndex`] caches the table's z-scores, keyed on the table's
+//!   *feature version*, which moves only when a row is appended or its
+//!   bits change. A SET_LANDMARKERS, or a RECORD that repeats a known
+//!   dataset's meta-features bit for bit (the pipeline's own traffic:
+//!   one RECORD per tuned algorithm), leaves it warm;
+//! - the first query after the version moved rebuilds the z-scores
+//!   *into the buffer the cache already owns* — a fresh one only if a
+//!   concurrent reader still scans the old — under the cache mutex, so
+//!   concurrent readers wait for one rebuild instead of each running
+//!   their own. Writes stay O(1): they never touch the cache;
+//! - a query scans the matrix sequentially, keeps the best `k` rows,
+//!   and dereferences [`KbEntry`]s for those `k` winners only.
+//!
+//! What the shards still partition is **run lists and write locks**:
+//! each dataset's entry lives in exactly one shard, chosen by an FNV
+//! hash of its meta-features at first insertion (sticky thereafter), and
+//! a write locks the WAL, the registry and that *one* shard.
 //!
 //! ## Byte-identity with the monolithic [`KnowledgeBase`]
 //!
 //! The blocking server remains the retained oracle, so the sharded
-//! answer must be byte-identical to the monolithic one. Three ordering
-//! facts make that hold by construction:
-//!
-//! 1. **Statistics order.** Normalisation stats sum floats in entry
-//!    order. The registry keeps every dataset's current meta-features
-//!    in a global insertion-order table, and stats are computed over it
-//!    with the same [`smartml_kb::normalisation_stats_over`] loop the
-//!    monolithic path uses.
-//! 2. **Tie-breaking.** The monolithic path stable-sorts by distance
-//!    over insertion order. Each entry carries its global insertion
-//!    sequence; merging shards by `(distance, sequence)` reproduces the
-//!    stable sort's permutation exactly.
-//! 3. **Vote order.** The two-factor vote is the shared
-//!    [`smartml_kb::vote_ranked`], fed the same entries in the same
-//!    order, so every float operation runs in the same sequence.
+//! answer must be byte-identical to the monolithic one. `smartml_kb`'s
+//! `index` module owns that argument (running sums are the reference's
+//! own summation carried on; deviations and z-scores are re-swept with
+//! the reference's expressions; `(distance, sequence)` is the stable
+//! sort's order); this file adds only that rows are in global insertion
+//! order and that the shared [`smartml_kb::vote_ranked`] sees the same
+//! winners in the same order.
 //!
 //! Durability reuses the PR 2 machinery unchanged: same WAL framing,
 //! same segment rotation, same snapshot files. A directory written by a
 //! sharded server opens under [`crate::DurableKb`] and vice versa.
 
-use crate::durable::{recover_dir, write_snapshot_meta, DurableOptions, RecoveryReport};
+use crate::durable::{
+    check_entries, check_records, recover_dir, write_snapshot_meta, DurableOptions,
+    RecoveryReport,
+};
 use crate::wal::{
     list_seqs, meta_name, parse_meta_name, parse_segment_name, parse_snapshot_name, scan_frames,
     segment_name, snapshot_name, WalRecord, WalWriter,
 };
 use smartml_kb::{
-    entry_distance, normalisation_stats_over, normalise, vote_ranked, AlgorithmRun, KbEntry,
-    KbError, KnowledgeBase, NormStats, QueryOptions, Recommendation,
+    check_carried, check_landmarkers, check_meta_features, vote_ranked, AlgorithmRun, FeatureTable, KbEntry,
+    KbError, KnowledgeBase, QueryOptions, Recommendation, ZIndex,
 };
 use smartml_metafeatures::{Landmarkers, MetaFeatures};
+use smartml_obs::Counter;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
-/// Where one dataset lives.
+/// Z-score rebuilds: one per feature-version change that a query saw.
+static ZCACHE_REBUILDS: Counter = Counter::new("kbd.zcache.rebuilds");
+
+/// Where one dataset's entry lives.
 #[derive(Debug, Clone, Copy)]
-struct Slot {
+struct Loc {
     shard: usize,
-    /// Global insertion sequence — the entry's index in the monolithic
-    /// ordering, and into [`Registry::features`].
-    seq: u64,
+    /// Index into that shard's `entries()`.
+    index: usize,
 }
 
-/// Global bookkeeping: dataset → shard routing and the insertion-order
-/// meta-feature table that normalisation statistics are computed over.
+/// Global bookkeeping, all of it keyed by global insertion sequence —
+/// the entry's index in the monolithic ordering.
 #[derive(Default)]
 struct Registry {
-    assign: HashMap<String, Slot>,
-    /// Current meta-features of every dataset, indexed by sequence.
-    /// Overwrites update in place, exactly like the monolithic KB.
-    features: Vec<Vec<f64>>,
-}
-
-/// One shard: a plain [`KnowledgeBase`] plus each entry's global
-/// sequence (parallel to `kb.entries()`).
-#[derive(Default)]
-struct Shard {
-    kb: KnowledgeBase,
-    seqs: Vec<u64>,
-}
-
-/// Per-generation cache: global stats plus every entry z-scored, so
-/// steady-state queries skip the O(entries × features) normalisation
-/// pass *and* its allocations.
-struct ZCache {
-    generation: u64,
-    stats: NormStats,
-    /// `z[shard][entry]` — parallel to each shard's entries.
-    z: Vec<Vec<Vec<f64>>>,
+    /// Dataset id → sequence.
+    assign: HashMap<String, usize>,
+    /// Current meta-features, row = sequence. Overwrites update in
+    /// place, exactly like the monolithic KB.
+    features: FeatureTable,
+    /// Sequence → entry.
+    locs: Vec<Loc>,
 }
 
 /// FNV-1a over the meta-feature bytes: deterministic shard routing that
@@ -102,6 +98,28 @@ fn shard_of(values: &[f64], n_shards: usize) -> usize {
     (h % n_shards as u64) as usize
 }
 
+impl Registry {
+    /// Replaces whatever is indexed with already-checked `entries`
+    /// (global insertion order), partitioned into the `n_shards` shards
+    /// it returns. The feature table is cleared, not replaced: its
+    /// version carries on, so the z-cache cannot mistake the new table
+    /// for the one it last saw.
+    fn reindex(&mut self, entries: Vec<KbEntry>, n_shards: usize) -> Vec<KnowledgeBase> {
+        self.assign.clear();
+        self.features.clear();
+        self.locs.clear();
+        let mut shards: Vec<Vec<KbEntry>> = (0..n_shards).map(|_| Vec::new()).collect();
+        for (seq, entry) in entries.into_iter().enumerate() {
+            let shard = shard_of(&entry.meta_features.values, n_shards);
+            self.assign.insert(entry.dataset_id.clone(), seq);
+            self.features.push(&entry.meta_features.values);
+            self.locs.push(Loc { shard, index: shards[shard].len() });
+            shards[shard].push(entry);
+        }
+        shards.into_iter().map(KnowledgeBase::from_entries).collect()
+    }
+}
+
 /// A WAL-durable, shard-partitioned KB index. All methods take `&self`;
 /// share it behind an `Arc` across event loops.
 pub struct ShardedKb {
@@ -111,11 +129,13 @@ pub struct ShardedKb {
     /// global apply order (and therefore recovery order).
     wal: Mutex<WalWriter>,
     registry: RwLock<Registry>,
-    shards: Vec<RwLock<Shard>>,
+    shards: Vec<RwLock<KnowledgeBase>>,
     /// Bumped under the registry write lock after each applied
     /// mutation; stable while any registry read guard is held.
     generation: AtomicU64,
-    zcache: Mutex<Option<Arc<ZCache>>>,
+    /// Z-scores of `registry.features` as of one version of it. Locked
+    /// after the registry and shards, and never by a writer.
+    zcache: Mutex<Arc<ZIndex>>,
     recovery: RecoveryReport,
     /// Total WAL records applied in this directory's lineage — the
     /// replication position (see [`RecoveryReport::applied_seq`]).
@@ -131,25 +151,9 @@ impl ShardedKb {
         options: DurableOptions,
         n_shards: usize,
     ) -> Result<ShardedKb, KbError> {
-        let n_shards = n_shards.max(1);
         let (kb, writer, recovery) = recover_dir(dir, &options)?;
         let mut registry = Registry::default();
-        let mut partitions: Vec<(Vec<KbEntry>, Vec<u64>)> =
-            (0..n_shards).map(|_| (Vec::new(), Vec::new())).collect();
-        for (seq, entry) in kb.into_entries().into_iter().enumerate() {
-            let shard = shard_of(&entry.meta_features.values, n_shards);
-            registry.assign.insert(
-                entry.dataset_id.clone(),
-                Slot { shard, seq: seq as u64 },
-            );
-            registry.features.push(entry.meta_features.values.clone());
-            partitions[shard].1.push(seq as u64);
-            partitions[shard].0.push(entry);
-        }
-        let shards: Vec<Shard> = partitions
-            .into_iter()
-            .map(|(entries, seqs)| Shard { kb: KnowledgeBase::from_entries(entries), seqs })
-            .collect();
+        let shards = registry.reindex(kb.into_entries(), n_shards.max(1));
         let applied_seq = AtomicU64::new(recovery.applied_seq);
         Ok(ShardedKb {
             dir: dir.to_path_buf(),
@@ -158,7 +162,7 @@ impl ShardedKb {
             registry: RwLock::new(registry),
             shards: shards.into_iter().map(RwLock::new).collect(),
             generation: AtomicU64::new(0),
-            zcache: Mutex::new(None),
+            zcache: Mutex::new(Arc::default()),
             recovery,
             applied_seq,
         })
@@ -194,7 +198,7 @@ impl ShardedKb {
         let _reg = self.registry.read().expect("registry poisoned");
         self.shards
             .iter()
-            .map(|s| s.read().expect("shard poisoned").kb.n_runs())
+            .map(|s| s.read().expect("shard poisoned").n_runs())
             .sum()
     }
 
@@ -237,6 +241,7 @@ impl ShardedKb {
         meta_features: &MetaFeatures,
         run: AlgorithmRun,
     ) -> Result<(), KbError> {
+        check_meta_features(&meta_features.values).map_err(KbError::Invalid)?;
         let record = WalRecord::Run {
             dataset_id: dataset_id.to_string(),
             meta_features: meta_features.clone(),
@@ -256,6 +261,7 @@ impl ShardedKb {
         dataset_id: &str,
         landmarkers: Landmarkers,
     ) -> Result<(), KbError> {
+        check_landmarkers(landmarkers).map_err(KbError::Invalid)?;
         let record =
             WalRecord::Landmarkers { dataset_id: dataset_id.to_string(), landmarkers };
         let mut wal = self.wal.lock().expect("wal poisoned");
@@ -269,102 +275,74 @@ impl ShardedKb {
     /// Nominates algorithms — byte-identical to the monolithic
     /// [`KnowledgeBase::recommend_extended`] over the same history (see
     /// the module docs for why).
+    ///
+    /// # Panics
+    ///
+    /// On meta-features [`check_meta_features`] refuses; the servers
+    /// check at dispatch, other callers use [`ShardedKb::try_recommend`].
     pub fn recommend(
         &self,
         meta_features: &MetaFeatures,
         query_landmarkers: Option<Landmarkers>,
         options: &QueryOptions,
     ) -> Recommendation {
-        let reg = self.registry.read().expect("registry poisoned");
-        if reg.features.is_empty() {
-            return Recommendation { algorithms: Vec::new(), neighbors: Vec::new() };
-        }
-        let guards: Vec<RwLockReadGuard<'_, Shard>> =
-            self.shards.iter().map(|s| s.read().expect("shard poisoned")).collect();
-        // Stable while we hold the registry read guard: writers bump it
-        // only under the registry write lock.
-        let generation = self.generation.load(Ordering::Acquire);
-        let cache = self.cached_z(generation, &reg, &guards);
-
-        let query = normalise(&meta_features.values, &cache.stats.means, &cache.stats.stds);
-        let mut scored: Vec<(f64, u64, &KbEntry)> = Vec::with_capacity(reg.features.len());
-        for (shard_ix, guard) in guards.iter().enumerate() {
-            let zs = &cache.z[shard_ix];
-            for (entry_ix, entry) in guard.kb.entries().iter().enumerate() {
-                let dist = entry_distance(
-                    &query,
-                    &zs[entry_ix],
-                    entry.landmarkers,
-                    query_landmarkers,
-                    options,
-                );
-                scored.push((dist, guard.seqs[entry_ix], entry));
-            }
-        }
-        // (distance, sequence) reproduces the monolithic stable sort.
-        // (distance, insertion seq) is a strict total order, so a
-        // partial select of the top k followed by a sort of just that
-        // prefix is identical to sorting everything and truncating —
-        // but O(n + k log k) instead of O(n log n).
-        let cmp = |a: &(f64, u64, &KbEntry), b: &(f64, u64, &KbEntry)| {
-            a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1))
-        };
-        let k = options.n_neighbors.max(1);
-        if k < scored.len() {
-            scored.select_nth_unstable_by(k - 1, cmp);
-            scored.truncate(k);
-        }
-        scored.sort_by(cmp);
-        let ranked: Vec<(&KbEntry, f64)> = scored.iter().map(|&(d, _, e)| (e, d)).collect();
-        vote_ranked(&ranked, options)
+        self.try_recommend(meta_features, query_landmarkers, options)
+            .expect("query meta-features were checked by the caller")
     }
 
-    /// Returns the z-cache for `generation`, rebuilding it if a write
-    /// invalidated it. Called with the registry and all shard guards
-    /// held, so the rebuild is consistent with what the query scans.
-    fn cached_z(
+    /// [`ShardedKb::recommend`], refusing a query the index cannot
+    /// measure a distance to with [`KbError::Invalid`].
+    pub fn try_recommend(
         &self,
-        generation: u64,
-        reg: &Registry,
-        guards: &[RwLockReadGuard<'_, Shard>],
-    ) -> Arc<ZCache> {
-        if let Some(cache) = self.zcache.lock().expect("zcache poisoned").as_ref() {
-            if cache.generation == generation {
-                return Arc::clone(cache);
+        meta_features: &MetaFeatures,
+        query_landmarkers: Option<Landmarkers>,
+        options: &QueryOptions,
+    ) -> Result<Recommendation, KbError> {
+        check_carried(&meta_features.values, query_landmarkers).map_err(KbError::Invalid)?;
+        let reg = self.registry.read().expect("registry poisoned");
+        let guards: Vec<RwLockReadGuard<'_, KnowledgeBase>> =
+            self.shards.iter().map(|s| s.read().expect("shard poisoned")).collect();
+        let entry = |seq: usize| {
+            let Loc { shard, index } = reg.locs[seq];
+            &guards[shard].entries()[index]
+        };
+        let nearest = self.cached_z(&reg.features).nearest(
+            &meta_features.values,
+            query_landmarkers,
+            options,
+            |seq| entry(seq).landmarkers,
+        );
+        let ranked: Vec<(&KbEntry, f64)> =
+            nearest.iter().map(|&(seq, distance)| (entry(seq), distance)).collect();
+        Ok(vote_ranked(&ranked, options))
+    }
+
+    /// The z-scores of `features`, rebuilt first if its version moved
+    /// since they were computed. Called with the registry read guard
+    /// held, so the table cannot change underneath the rebuild; holding
+    /// the cache mutex across it makes the rebuild single-flight.
+    fn cached_z(&self, features: &FeatureTable) -> Arc<ZIndex> {
+        let mut cache = self.zcache.lock().expect("zcache poisoned");
+        if cache.version() != features.version() {
+            ZCACHE_REBUILDS.inc();
+            // In place unless a reader still scans the old z-scores.
+            if Arc::get_mut(&mut cache).is_none() {
+                *cache = Arc::default();
             }
+            Arc::get_mut(&mut cache).expect("sole owner: checked or just made").rebuild(features);
         }
-        // Global stats in insertion order — the same float summation
-        // sequence as the monolithic normalisation pass.
-        let features: Vec<&[f64]> = reg.features.iter().map(|f| f.as_slice()).collect();
-        let stats = normalisation_stats_over(&features);
-        let z: Vec<Vec<Vec<f64>>> = guards
-            .iter()
-            .map(|g| {
-                g.kb.entries()
-                    .iter()
-                    .map(|e| normalise(&e.meta_features.values, &stats.means, &stats.stds))
-                    .collect()
-            })
-            .collect();
-        let fresh = Arc::new(ZCache { generation, stats, z });
-        *self.zcache.lock().expect("zcache poisoned") = Some(Arc::clone(&fresh));
-        fresh
+        Arc::clone(&cache)
     }
 
     /// Reassembles the monolithic KB (global insertion order) from the
     /// shards. Used by snapshotting and the equivalence tests.
     pub fn to_monolithic(&self) -> KnowledgeBase {
-        let _reg = self.registry.read().expect("registry poisoned");
-        let guards: Vec<RwLockReadGuard<'_, Shard>> =
+        let reg = self.registry.read().expect("registry poisoned");
+        let guards: Vec<RwLockReadGuard<'_, KnowledgeBase>> =
             self.shards.iter().map(|s| s.read().expect("shard poisoned")).collect();
-        let mut entries: Vec<(u64, KbEntry)> = Vec::new();
-        for guard in &guards {
-            for (ix, entry) in guard.kb.entries().iter().enumerate() {
-                entries.push((guard.seqs[ix], entry.clone()));
-            }
-        }
-        entries.sort_by_key(|&(seq, _)| seq);
-        KnowledgeBase::from_entries(entries.into_iter().map(|(_, e)| e).collect())
+        let entries =
+            reg.locs.iter().map(|loc| guards[loc.shard].entries()[loc.index].clone()).collect();
+        KnowledgeBase::from_entries(entries)
     }
 
     /// Folds the current state into a snapshot and compacts — identical
@@ -402,53 +380,46 @@ impl ShardedKb {
         Ok(covered)
     }
 
-    /// Applies one already-logged WAL record to the registry and shards,
-    /// bumping the write generation. Shared by the local write path and
-    /// the replication apply path so both produce identical state.
+    /// Applies one already-logged, already-checked WAL record to the
+    /// registry and shards, bumping the write generation. Shared by the
+    /// local write path and the replication apply path so both produce
+    /// identical state.
     fn apply_record(&self, record: &WalRecord) {
+        // Lock order: registry before shard (readers use the same order).
+        // The generation is published while the registry write lock is
+        // still held, so a reader holding a registry read guard always
+        // sees a fully applied generation.
+        let mut guard = self.registry.write().expect("registry poisoned");
+        let reg = &mut *guard;
         match record {
             WalRecord::Run { dataset_id, meta_features, run } => {
-                // Lock order: registry before shard (readers use the same
-                // order). The generation is published while the registry
-                // write lock is still held, so a reader holding a registry
-                // read guard always sees a fully applied generation.
-                let mut reg = self.registry.write().expect("registry poisoned");
-                let slot = match reg.assign.get(dataset_id).copied() {
-                    Some(slot) => {
-                        // Existing dataset: meta-features overwritten in
-                        // place; the shard assignment is sticky.
-                        reg.features[slot.seq as usize] = meta_features.values.clone();
-                        slot
-                    }
-                    None => {
-                        let slot = Slot {
-                            shard: shard_of(&meta_features.values, self.shards.len()),
-                            seq: reg.features.len() as u64,
-                        };
-                        reg.assign.insert(dataset_id.to_string(), slot);
-                        reg.features.push(meta_features.values.clone());
-                        slot
-                    }
+                let values = &meta_features.values;
+                let known = reg.assign.get(dataset_id).copied();
+                // A known dataset's shard is sticky; its meta-features are
+                // overwritten in place, exactly like the monolithic KB.
+                let shard = match known {
+                    Some(seq) => reg.locs[seq].shard,
+                    None => shard_of(values, self.shards.len()),
                 };
-                {
-                    let mut shard = self.shards[slot.shard].write().expect("shard poisoned");
-                    let was = shard.kb.len();
-                    shard.kb.record_run(dataset_id, meta_features, run.clone());
-                    if shard.kb.len() > was {
-                        shard.seqs.push(slot.seq);
+                let mut kb = self.shards[shard].write().expect("shard poisoned");
+                match known {
+                    Some(seq) => reg.features.set(seq, values),
+                    None => {
+                        reg.assign.insert(dataset_id.to_string(), reg.locs.len());
+                        reg.features.push(values);
+                        reg.locs.push(Loc { shard, index: kb.len() });
                     }
                 }
-                self.generation.fetch_add(1, Ordering::Release);
+                kb.record_run(dataset_id, meta_features, run.clone());
             }
             WalRecord::Landmarkers { dataset_id, landmarkers } => {
-                let reg = self.registry.write().expect("registry poisoned");
-                if let Some(slot) = reg.assign.get(dataset_id).copied() {
-                    let mut shard = self.shards[slot.shard].write().expect("shard poisoned");
-                    shard.kb.set_landmarkers(dataset_id, *landmarkers);
+                if let Some(&seq) = reg.assign.get(dataset_id) {
+                    let mut kb = self.shards[reg.locs[seq].shard].write().expect("shard poisoned");
+                    kb.set_landmarkers(dataset_id, *landmarkers);
                 }
-                self.generation.fetch_add(1, Ordering::Release);
             }
         }
+        self.generation.fetch_add(1, Ordering::Release);
     }
 
     /// Replication apply: mirrors `data` (whole WAL frames shipped by the
@@ -479,6 +450,7 @@ impl ShardedKb {
                 "sync chunk is not a whole number of frames — refusing a torn prefix".into(),
             ));
         }
+        check_records(None, &scan.records)?;
         // Disk before memory, exactly like a local write: after a crash
         // here, recovery replays the mirrored frames.
         wal.append_raw(bytes)?;
@@ -522,6 +494,7 @@ impl ShardedKb {
             path: None,
             detail: format!("sync snapshot failed to parse: {e}"),
         })?;
+        check_entries(None, &kb)?;
         let mut wal = self.wal.lock().expect("wal poisoned");
         let mut reg = self.registry.write().expect("registry poisoned");
         let mut guards: Vec<_> =
@@ -547,21 +520,9 @@ impl ShardedKb {
         // Rebuild the in-memory index from the snapshot, preserving the
         // snapshot's entry order as the global insertion order — the same
         // partitioning open_with performs.
-        *reg = Registry::default();
-        let n_shards = self.shards.len();
-        let mut partitions: Vec<(Vec<KbEntry>, Vec<u64>)> =
-            (0..n_shards).map(|_| (Vec::new(), Vec::new())).collect();
-        for (seq, entry) in kb.into_entries().into_iter().enumerate() {
-            let shard = shard_of(&entry.meta_features.values, n_shards);
-            reg.assign
-                .insert(entry.dataset_id.clone(), Slot { shard, seq: seq as u64 });
-            reg.features.push(entry.meta_features.values.clone());
-            partitions[shard].1.push(seq as u64);
-            partitions[shard].0.push(entry);
-        }
-        for (guard, (entries, seqs)) in guards.iter_mut().zip(partitions) {
-            guard.kb = KnowledgeBase::from_entries(entries);
-            guard.seqs = seqs;
+        let shards = reg.reindex(kb.into_entries(), self.shards.len());
+        for (guard, kb) in guards.iter_mut().zip(shards) {
+            **guard = kb;
         }
         self.applied_seq.store(applied_seq, Ordering::Release);
         self.generation.fetch_add(1, Ordering::Release);
@@ -593,10 +554,8 @@ impl ShardedKb {
         for seq in list_seqs(&self.dir, parse_meta_name)? {
             std::fs::remove_file(self.dir.join(meta_name(seq)))?;
         }
-        *reg = Registry::default();
-        for guard in guards.iter_mut() {
-            guard.kb = KnowledgeBase::from_entries(Vec::new());
-            guard.seqs = Vec::new();
+        for (guard, kb) in guards.iter_mut().zip(reg.reindex(Vec::new(), self.shards.len())) {
+            **guard = kb;
         }
         self.applied_seq.store(0, Ordering::Release);
         self.generation.fetch_add(1, Ordering::Release);
@@ -653,41 +612,6 @@ mod tests {
     }
 
     #[test]
-    fn recommendations_identical_to_monolithic_kb() {
-        let dir = tmp("smartml-sharded-equiv");
-        for n_shards in [1, 3, 8] {
-            let _ = std::fs::remove_dir_all(&dir);
-            let (mono, sharded) = twin_histories(&dir, n_shards);
-            assert_eq!(sharded.len(), mono.len());
-            assert_eq!(sharded.n_runs(), mono.n_runs());
-            for q in 0..6u64 {
-                for opts in [
-                    QueryOptions::default(),
-                    QueryOptions { top_n: 2, n_neighbors: 3, ..Default::default() },
-                    QueryOptions { use_landmarkers: true, ..Default::default() },
-                    QueryOptions { performance_weight: 0.0, n_neighbors: 50, ..Default::default() },
-                ] {
-                    let lm = (q % 2 == 0)
-                        .then_some(Landmarkers { decision_stump: 0.6, nearest_centroid: 0.8 });
-                    let want = mono.recommend_extended(&mf(100 + q), lm, &opts);
-                    let got = sharded.recommend(&mf(100 + q), lm, &opts);
-                    assert_eq!(
-                        serde_json::to_string(&got).unwrap(),
-                        serde_json::to_string(&want).unwrap(),
-                        "shards={n_shards} q={q} opts={opts:?}"
-                    );
-                }
-            }
-            // The reassembled monolithic view matches entry for entry.
-            assert_eq!(
-                serde_json::to_string(&sharded.to_monolithic().entries()).unwrap(),
-                serde_json::to_string(&mono.entries()).unwrap(),
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn zcache_survives_reads_and_invalidates_on_write() {
         let dir = tmp("smartml-sharded-zcache");
         let (_mono, sharded) = twin_histories(&dir, 4);
@@ -703,6 +627,116 @@ mod tests {
         let third = sharded.recommend(&q, None, &opts);
         // The new entry participates (stats shifted or neighbour set grew).
         assert_ne!(serde_json::to_string(&third).unwrap(), serde_json::to_string(&first).unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn zcache_rebuilds_on_feature_change_not_on_every_write() {
+        let dir = tmp("smartml-sharded-zcache-version");
+        let (_mono, sharded) = twin_histories(&dir, 3);
+        // A rebuild happens exactly when a read finds these two apart.
+        let versions = || {
+            let table = sharded.registry.read().unwrap().features.version();
+            (table, sharded.zcache.lock().unwrap().version())
+        };
+        let (q, opts) = (mf(200), QueryOptions::default());
+        sharded.recommend(&q, None, &opts);
+        let (warm, cached) = versions();
+        assert_eq!(warm, cached);
+        // The pipeline's phase 5 for one new dataset: a RECORD per tuned
+        // algorithm with the same meta-features, then SET_LANDMARKERS.
+        let (m, g) = (mf(300), sharded.generation());
+        for alg in [Algorithm::Knn, Algorithm::Lda, Algorithm::Svm] {
+            sharded.record_run("fresh", &m, run(alg, 0.8)).unwrap();
+            sharded.recommend(&q, None, &opts);
+            assert_eq!(versions(), (warm + 1, warm + 1), "one rebuild, on the first RECORD");
+        }
+        sharded
+            .set_landmarkers("fresh", Landmarkers { decision_stump: 0.5, nearest_centroid: 0.5 })
+            .unwrap();
+        sharded.recommend(&q, None, &opts);
+        assert_eq!(versions(), (warm + 1, warm + 1));
+        assert_eq!(sharded.generation(), g + 4, "every write still bumps the generation");
+        // Changed bits for a known dataset do invalidate.
+        sharded.record_run("fresh", &mf(301), run(Algorithm::Knn, 0.8)).unwrap();
+        assert_eq!(versions(), (warm + 2, warm + 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn invalid_meta_features_are_refused_wherever_they_enter() {
+        let dir = tmp("smartml-sharded-invalid");
+        let (mono, sharded) = twin_histories(&dir, 3);
+        let short = MetaFeatures { values: vec![0.5, 1.5, 2.5] };
+        let mut infinite = mf(1);
+        infinite.values[3] = f64::INFINITY;
+        let applied = sharded.applied_seq();
+        for bad in [&short, &infinite] {
+            // In process: typed, and nothing logged or applied.
+            assert!(matches!(
+                sharded.record_run("bad", bad, run(Algorithm::Knn, 0.9)),
+                Err(KbError::Invalid(_))
+            ));
+            assert!(matches!(
+                sharded.try_recommend(bad, None, &QueryOptions::default()),
+                Err(KbError::Invalid(_))
+            ));
+        }
+        let overflowed = Landmarkers { decision_stump: f64::INFINITY, nearest_centroid: 0.5 };
+        assert!(matches!(sharded.set_landmarkers("d3", overflowed), Err(KbError::Invalid(_))));
+        assert!(matches!(
+            sharded.try_recommend(&mf(1), Some(overflowed), &QueryOptions::default()),
+            Err(KbError::Invalid(_))
+        ));
+        assert_eq!((sharded.applied_seq(), sharded.len()), (applied, mono.len()));
+
+        // Shipped by a primary: a chunk and a snapshot carrying one are
+        // refused whole, before anything reaches the disk.
+        let frame = crate::wal::encode_frame(&WalRecord::Run {
+            dataset_id: "bad".into(),
+            meta_features: short.clone(),
+            run: run(Algorithm::Knn, 0.9),
+        });
+        let (segment, offset) = sharded.with_wal_position(|p| p);
+        match sharded.apply_sync_chunk(segment, offset, std::str::from_utf8(&frame).unwrap()) {
+            Err(KbError::Corrupt { detail, .. }) => assert!(detail.contains("`bad`"), "{detail}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        assert_eq!(sharded.with_wal_position(|p| p), (segment, offset));
+        let mut poisoned = mono.clone();
+        poisoned.record_run("bad", &short, run(Algorithm::Knn, 0.9));
+        let shipped = serde_json::to_string(&poisoned).unwrap();
+        assert!(matches!(
+            sharded.install_snapshot(segment + 1, &shipped, 99),
+            Err(KbError::Corrupt { .. })
+        ));
+        assert_eq!(
+            serde_json::to_string(&sharded.to_monolithic()).unwrap(),
+            serde_json::to_string(&mono).unwrap()
+        );
+        drop(sharded);
+
+        // Already on disk (written before the check existed): neither
+        // store opens the directory, and both name the dataset.
+        {
+            use std::io::Write;
+            let active = dir.join(segment_name(segment));
+            let mut f = std::fs::OpenOptions::new().append(true).open(&active).unwrap();
+            f.write_all(&frame).unwrap();
+        }
+        let refused = [
+            ShardedKb::open_with(&dir, DurableOptions::default(), 3).err(),
+            DurableKb::open(&dir).err(),
+        ];
+        for error in refused {
+            match error {
+                Some(KbError::Corrupt { path: Some(p), detail }) => {
+                    assert!(p.ends_with(segment_name(segment)), "{p:?}");
+                    assert!(detail.contains("`bad`") && detail.contains("got 3"), "{detail}");
+                }
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -101,6 +101,28 @@ fn script() -> Vec<String> {
     }));
     lines.push("{\"op\":\"recommend\",\"meta_features\":\"not a vector\"}".to_string());
     lines.push("plainly not json".to_string());
+    // Well-formed, but carrying meta-features no index can hold: refused
+    // at dispatch by both backends alike, and the store does not move.
+    let short = MetaFeatures { values: vec![0.5, 1.5, 2.5] };
+    lines.push(enc(&Request::RecordRun {
+        dataset_id: "pill".into(),
+        meta_features: short.clone(),
+        run: run(0),
+    }));
+    let mut marked = mf(301);
+    marked.values[3] = 12345.678;
+    let overflowing =
+        enc(&Request::Recommend { meta_features: marked, landmarkers: None, options: None });
+    lines.push(overflowing.replace("12345.678", "1e999"));
+    lines.push(enc(&Request::RecommendBatch {
+        queries: vec![BatchQuery { meta_features: short, landmarkers: None, options: None }],
+    }));
+    lines.push(enc(&Request::Stats));
+    lines.push(enc(&Request::Recommend {
+        meta_features: mf(302),
+        landmarkers: None,
+        options: None,
+    }));
     lines.push(enc(&Request::Ping));
     lines
 }

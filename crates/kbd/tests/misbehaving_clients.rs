@@ -1,16 +1,17 @@
 //! The event-driven backend against clients that do everything wrong:
-//! dribble requests one byte at a time, send torn frames and oversized
-//! frames, and stop reading their responses entirely. The server must
+//! dribble requests one byte at a time, send torn frames, oversized
+//! frames and meta-features no index can hold, and stop reading their
+//! responses entirely. The server must
 //! stay correct, stay bounded in memory, and — the busy-spin canary —
 //! stay *idle*: a stalled connection must not inflate the per-loop
 //! `epoll_wait` counter.
 
 use smartml_classifiers::{Algorithm, ParamConfig};
 use smartml_data::synth::gaussian_blobs;
-use smartml_kb::{AlgorithmRun, QueryOptions};
+use smartml_kb::{AlgorithmRun, KnowledgeBase, QueryOptions};
 use smartml_kbd::{
-    BatchQuery, DurableOptions, EventServer, EventServerOptions, LoopStats, Request,
-    MAX_FRAME_BYTES,
+    BatchQuery, DurableOptions, EventServer, EventServerOptions, LoopStats, Request, Response,
+    ShardedKb, MAX_FRAME_BYTES,
 };
 use smartml_metafeatures::{extract, MetaFeatures};
 use std::io::{BufRead, BufReader, Write};
@@ -38,6 +39,14 @@ struct Fixture {
     dir: PathBuf,
 }
 
+fn seed_run(i: u64) -> AlgorithmRun {
+    AlgorithmRun {
+        algorithm: [Algorithm::RandomForest, Algorithm::Svm, Algorithm::Knn][i as usize % 3],
+        config: ParamConfig::default(),
+        accuracy: 0.6 + (i % 30) as f64 / 100.0,
+    }
+}
+
 fn spawn(tag: &str, seed_entries: u64) -> Fixture {
     let dir = temp_dir(tag);
     let server = EventServer::bind(EventServerOptions {
@@ -53,13 +62,7 @@ fn spawn(tag: &str, seed_entries: u64) -> Fixture {
     if seed_entries > 0 {
         let client = smartml_kbd::KbClient::connect(addr.clone());
         for i in 0..seed_entries {
-            let run = AlgorithmRun {
-                algorithm: [Algorithm::RandomForest, Algorithm::Svm, Algorithm::Knn]
-                    [i as usize % 3],
-                config: ParamConfig::default(),
-                accuracy: 0.6 + (i % 30) as f64 / 100.0,
-            };
-            client.record_run(&format!("ds-{i}"), &mf(i), run).expect("seed");
+            client.record_run(&format!("ds-{i}"), &mf(i), seed_run(i)).expect("seed");
         }
     }
     Fixture { addr, stats, handle, dir }
@@ -285,4 +288,91 @@ fn interleaved_trickle_and_requests_stay_framed() {
     assert_eq!(response, response2, "the reassembled frame must answer identically");
 
     shutdown(fixture);
+}
+
+/// The poison pill: well-formed requests whose meta-features no index
+/// can hold — an overflowing `1e999`, a vector of three — used to be
+/// acknowledged, fsynced, and to kill the event loop on the next read
+/// (and again after every restart). Each gets an error line, the same
+/// connection keeps being served, and nothing invalid reaches the WAL.
+#[test]
+fn invalid_meta_features_get_an_error_line_and_never_reach_the_wal() {
+    const SEEDED: u64 = 6;
+    let fixture = spawn("poison", SEEDED);
+    let stream = TcpStream::connect(&fixture.addr).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let mut ask = |line: &str| -> Response {
+        writeln!(writer, "{line}").expect("request");
+        let mut response = String::new();
+        reader.read_line(&mut response).expect("response");
+        serde_json::from_str(&response).expect("response json")
+    };
+
+    let enc = |r: &Request| serde_json::to_string(r).expect("encode request");
+    let record = |meta_features: MetaFeatures| {
+        enc(&Request::RecordRun { dataset_id: "pill".into(), meta_features, run: seed_run(0) })
+    };
+    let recommend =
+        |meta_features| enc(&Request::Recommend { meta_features, landmarkers: None, options: None });
+    // `1e999` parses to +inf; no encoder writes it, so it is spliced in.
+    let mut marked = mf(7);
+    marked.values[3] = 12345.678;
+    let overflow = |line: String| line.replace("12345.678", "1e999");
+    let short = MetaFeatures { values: vec![0.5, 1.5, 2.5] };
+    let batch = enc(&Request::RecommendBatch {
+        queries: [mf(8), short.clone()]
+            .into_iter()
+            .map(|meta_features| BatchQuery { meta_features, landmarkers: None, options: None })
+            .collect(),
+    });
+    // Landmarker accuracies join the same distance on the same terms.
+    let marks = smartml_metafeatures::Landmarkers { decision_stump: 12345.678, nearest_centroid: 0.5 };
+    let set_marks = enc(&Request::SetLandmarkers { dataset_id: "ds-1".into(), landmarkers: marks });
+    let with_marks =
+        enc(&Request::Recommend { meta_features: mf(8), landmarkers: Some(marks), options: None });
+    for bad in [
+        overflow(record(marked.clone())),
+        record(short.clone()),
+        overflow(recommend(marked)),
+        recommend(short),
+        batch,
+        overflow(set_marks),
+        overflow(with_marks),
+    ] {
+        match ask(&bad) {
+            Response::Error { message } => {
+                assert!(message.starts_with("bad request: "), "{message}");
+                assert!(message.contains("finite") || message.contains("got 3"), "{message}");
+            }
+            other => panic!("{bad} was answered with {other:?}"),
+        }
+    }
+
+    // Same connection, same loop: a good RECORD and a correct RECOMMEND.
+    let mut expected = KnowledgeBase::new();
+    for i in 0..SEEDED {
+        expected.record_run(&format!("ds-{i}"), &mf(i), seed_run(i));
+    }
+    expected.record_run("good", &mf(9), seed_run(9));
+    let good = Request::RecordRun { dataset_id: "good".into(), meta_features: mf(9), run: seed_run(9) };
+    assert!(matches!(ask(&enc(&good)), Response::Recorded { datasets: 7, runs: 7 }));
+    match ask(&recommend(mf(10))) {
+        Response::Recommendation { recommendation } => {
+            assert_eq!(recommendation, expected.recommend(&mf(10), &QueryOptions::default()));
+        }
+        other => panic!("RECOMMEND after the bad requests was answered with {other:?}"),
+    }
+
+    // The reopened directory holds exactly the good records.
+    smartml_kbd::KbClient::connect(fixture.addr.clone()).shutdown().expect("shutdown");
+    fixture.handle.join().expect("server thread");
+    let reopened = ShardedKb::open_with(&fixture.dir, DurableOptions::default(), 2)
+        .expect("nothing invalid was logged");
+    assert_eq!(
+        serde_json::to_string(&reopened.to_monolithic()).expect("kb encodes"),
+        serde_json::to_string(&expected).expect("kb encodes"),
+    );
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&fixture.dir);
 }

@@ -123,6 +123,10 @@ echo "==> kbd: epoll vs blocking byte-identical responses under the fault-inject
 echo "    (includes replica catch-up byte-identity under 30% injected pull/apply panics)"
 cargo test -q --offline --features fault-injection \
   -p smartml-kbd --test backend_equiv --test replication
+echo "    sharded index vs the monolithic KB by to_bits (release, 2048 histories), allocation pin, poison-pill requests"
+PROPTEST_CASES=2048 cargo test -q --offline --release -p smartml-kb --lib index::
+PROPTEST_CASES=2048 cargo test -q --offline --release \
+  -p smartml-kbd --test sharded_differential --test zindex_alloc --test misbehaving_clients
 
 echo "==> replication chaos: primary + replica, kill -9 both sides, failover reads"
 start_server epoll "$SMOKE_DIR/repl-primary.log"
