@@ -13,8 +13,7 @@
 //! smartml-cli algorithms
 //! smartml-cli bootstrap --kb PATH [--fast]
 //! smartml-cli api < request.json
-//! smartml-cli kb serve --dir DIR [--addr HOST:PORT] [--io blocking|epoll]
-//!                      [--shards N] [--no-fsync]
+//! smartml-cli kb serve --dir DIR [--addr HOST:PORT] [--shards N] [--no-fsync]
 //! smartml-cli kb stats|snapshot|metrics --kb SPEC
 //! smartml-cli kb query <data> --kb SPEC [--top-n N]
 //! smartml-cli kb query --batch FILE --kb SPEC [--top-n N]
@@ -39,8 +38,7 @@ use smartml_data::synth::SynthSpec;
 use smartml_data::Dataset;
 use smartml_kb::{AlgorithmRun, KbBackend, QueryOptions};
 use smartml_kbd::{
-    BatchQuery, DurableKb, DurableOptions, EventServer, EventServerOptions, KbClient, Server,
-    ServerOptions,
+    BatchQuery, DurableOptions, EventServer, EventServerOptions, KbClient, ShardedKb,
 };
 use std::io::Read;
 use std::path::{Path, PathBuf};
@@ -168,7 +166,8 @@ fn cmd_run(args: &[String]) -> Result<(), String> {
             println!("knowledge base saved to {}", p.display());
         }
         Some(KbSource::Wal(d)) => {
-            let kb = DurableKb::open(&d).map_err(|e| e.to_string())?;
+            let kb = ShardedKb::open_with(&d, DurableOptions::default(), 1)
+                .map_err(|e| e.to_string())?;
             let kb = run_engine(kb, options, &data, args)?;
             println!(
                 "knowledge base WAL at {} (active segment {})",
@@ -303,9 +302,8 @@ fn parse_kb_spec(args: &[String]) -> Result<KbSource, String> {
     KbSource::parse(flag_value(args, "--kb").ok_or("--kb SPEC required")?)
 }
 
-/// `kb serve`: host a durable KB over TCP (same engine as `smartmld`),
-/// on either backend: `--io epoll` (default; sharded, pipelined) or
-/// `--io blocking` (thread per connection).
+/// `kb serve`: host a durable KB over TCP (same engine as `smartmld`):
+/// epoll event loops over a sharded store, `--shards N` of each.
 fn kb_serve(args: &[String]) -> Result<(), String> {
     let dir = PathBuf::from(flag_value(args, "--dir").ok_or("kb serve: --dir DIR required")?);
     let addr = flag_value(args, "--addr").unwrap_or("127.0.0.1:7878").to_string();
@@ -321,48 +319,28 @@ fn kb_serve(args: &[String]) -> Result<(), String> {
             if r.truncated_tail { ", torn tail truncated" } else { "" }
         );
     };
-    match flag_value(args, "--io").unwrap_or("epoll") {
-        "blocking" => {
-            let server = Server::bind(ServerOptions {
-                dir,
-                addr,
-                durable,
-                ..ServerOptions::default()
-            })
-            .map_err(|e| e.to_string())?;
-            report(server.recovery(), server.shared().len(), server.shared().n_runs());
-            println!(
-                "smartmld: listening on {}",
-                server.local_addr().map_err(|e| e.to_string())?
-            );
-            server.run().map_err(|e| e.to_string())
-        }
-        "epoll" => {
-            let shards = match flag_value(args, "--shards") {
-                Some(n) => n.parse().map_err(|_| "--shards expects a number")?,
-                None => 0,
-            };
-            let server = EventServer::bind(EventServerOptions {
-                dir,
-                addr,
-                durable,
-                n_loops: shards,
-                ..EventServerOptions::default()
-            })
-            .map_err(|e| e.to_string())?;
-            report(server.recovery(), server.store().len(), server.store().n_runs());
-            println!(
-                "smartmld: epoll backend, {} event loop(s) / shard(s)",
-                server.store().n_shards()
-            );
-            println!(
-                "smartmld: listening on {}",
-                server.local_addr().map_err(|e| e.to_string())?
-            );
-            server.run().map_err(|e| e.to_string())
-        }
-        other => Err(format!("--io expects `blocking` or `epoll`, got `{other}`")),
-    }
+    let shards = match flag_value(args, "--shards") {
+        Some(n) => n.parse().map_err(|_| "--shards expects a number")?,
+        None => 0,
+    };
+    let server = EventServer::bind(EventServerOptions {
+        dir,
+        addr,
+        durable,
+        n_loops: shards,
+        ..EventServerOptions::default()
+    })
+    .map_err(|e| e.to_string())?;
+    report(server.recovery(), server.store().len(), server.store().n_runs());
+    println!(
+        "smartmld: epoll backend, {} event loop(s) / shard(s)",
+        server.store().n_shards()
+    );
+    println!(
+        "smartmld: listening on {}",
+        server.local_addr().map_err(|e| e.to_string())?
+    );
+    server.run().map_err(|e| e.to_string())
 }
 
 fn kb_stats(args: &[String]) -> Result<(), String> {
@@ -372,14 +350,15 @@ fn kb_stats(args: &[String]) -> Result<(), String> {
             println!("{}: {} datasets / {} runs", p.display(), kb.len(), kb.n_runs());
         }
         KbSource::Wal(d) => {
-            let kb = DurableKb::open(&d).map_err(|e| e.to_string())?;
+            let kb = ShardedKb::open_with(&d, DurableOptions::default(), 1)
+                .map_err(|e| e.to_string())?;
             let r = kb.recovery();
             println!(
                 "wal:{}: {} datasets / {} runs (snapshot {:?}, active segment {}, \
                  applied seq {}, {} records replayed{})",
                 d.display(),
-                kb.kb().len(),
-                kb.kb().n_runs(),
+                kb.len(),
+                kb.n_runs(),
                 r.snapshot_seq,
                 kb.active_segment(),
                 kb.applied_seq(),
@@ -455,7 +434,8 @@ fn kb_query(args: &[String]) -> Result<(), String> {
                 .collect::<Result<Vec<_>, _>>()
         }
         KbSource::Wal(d) => {
-            let kb = DurableKb::open(&d).map_err(|e| e.to_string())?;
+            let kb = ShardedKb::open_with(&d, DurableOptions::default(), 1)
+                .map_err(|e| e.to_string())?;
             queries
                 .iter()
                 .map(|(_, mf)| kb.kb_recommend(mf, None, &options))
@@ -534,14 +514,10 @@ fn kb_record(args: &[String]) -> Result<(), String> {
             println!("recorded; {}: {} datasets / {} runs", p.display(), kb.len(), kb.n_runs());
         }
         KbSource::Wal(d) => {
-            let mut kb = DurableKb::open(&d).map_err(|e| e.to_string())?;
+            let kb = ShardedKb::open_with(&d, DurableOptions::default(), 1)
+                .map_err(|e| e.to_string())?;
             kb.record_run(&data.name, &mf, run).map_err(|e| e.to_string())?;
-            println!(
-                "recorded; wal:{}: {} datasets / {} runs",
-                d.display(),
-                kb.kb().len(),
-                kb.kb().n_runs()
-            );
+            println!("recorded; wal:{}: {} datasets / {} runs", d.display(), kb.len(), kb.n_runs());
         }
         KbSource::Remote(addr) => {
             let (datasets, runs) = KbClient::connect(&*addr)
@@ -588,7 +564,8 @@ fn kb_snapshot(args: &[String]) -> Result<(), String> {
             Err("kb snapshot applies to wal: and tcp: knowledge bases only".into())
         }
         KbSource::Wal(d) => {
-            let mut kb = DurableKb::open(&d).map_err(|e| e.to_string())?;
+            let kb = ShardedKb::open_with(&d, DurableOptions::default(), 1)
+                .map_err(|e| e.to_string())?;
             let seq = kb.snapshot().map_err(|e| e.to_string())?;
             println!("snapshotted wal:{} at segment {seq}", d.display());
             Ok(())

@@ -16,7 +16,7 @@ use std::time::Duration;
 pub enum KbSource {
     /// Single-file JSON persistence (`KnowledgeBase::load`/`save`).
     File(PathBuf),
-    /// WAL-backed durable store directory (`smartml-kbd::DurableKb`).
+    /// WAL-backed durable store directory (`smartml-kbd::ShardedKb`).
     Wal(PathBuf),
     /// Remote `smartmld` endpoints — primary first, then read replicas —
     /// as one comma-separated string (`smartml-kbd::KbClient` syntax).

@@ -6,7 +6,7 @@
 //! surface so a SmartML run can be wired to
 //!
 //! - the in-process [`KnowledgeBase`] (this crate — the default),
-//! - a WAL-backed durable store (`smartml-kbd::DurableKb`), or
+//! - a WAL-backed durable store (`smartml-kbd::ShardedKb`), or
 //! - a remote `smartmld` server (`smartml-kbd::KbClient`),
 //!
 //! without the pipeline knowing which. Local backends are infallible and

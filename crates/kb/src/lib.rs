@@ -49,7 +49,5 @@ mod store;
 
 pub use backend::KbBackend;
 pub use index::{check_carried, check_landmarkers, check_meta_features, FeatureTable, ZIndex};
-pub use query::{
-    vote_ranked, AlgorithmRecommendation, NormStats, QueryOptions, Recommendation,
-};
+pub use query::{vote_ranked, AlgorithmRecommendation, QueryOptions, Recommendation};
 pub use store::{AlgorithmRun, KbEntry, KbError, KnowledgeBase};

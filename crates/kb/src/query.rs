@@ -28,15 +28,13 @@ impl Default for QueryOptions {
     }
 }
 
-/// Per-meta-feature z-score statistics over a whole KB — the quantity a
-/// long-lived serving process caches between writes so that concurrent
-/// readers skip the full O(entries × features) re-normalisation pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct NormStats {
+/// Per-meta-feature z-score statistics over a whole KB.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct NormStats {
     /// Per-feature means.
-    pub means: Vec<f64>,
+    pub(crate) means: Vec<f64>,
     /// Per-feature standard deviations (constant features pinned to 1).
-    pub stds: Vec<f64>,
+    pub(crate) stds: Vec<f64>,
 }
 
 /// One nominated algorithm with its warm-start configurations.
@@ -92,12 +90,9 @@ impl KnowledgeBase {
     }
 
     /// [`KnowledgeBase::recommend_extended`] with the z-score statistics
-    /// supplied by the caller. A serving layer computes
-    /// [`KnowledgeBase::normalisation_stats`] once per write generation and
-    /// reuses it across every concurrent read, so this is the hot-path
-    /// entry point; results are bit-identical to `recommend_extended` as
-    /// long as `stats` matches the current entries.
-    pub fn recommend_extended_with_stats(
+    /// supplied by the caller; bit-identical to it as long as `stats`
+    /// matches the current entries.
+    pub(crate) fn recommend_extended_with_stats(
         &self,
         meta_features: &MetaFeatures,
         query_landmarkers: Option<Landmarkers>,
@@ -125,10 +120,7 @@ impl KnowledgeBase {
     }
 
     /// Per-meta-feature mean and std over all entries (for z-scoring).
-    /// Callers that serve many queries between writes should cache the
-    /// result and pass it to
-    /// [`KnowledgeBase::recommend_extended_with_stats`].
-    pub fn normalisation_stats(&self) -> NormStats {
+    pub(crate) fn normalisation_stats(&self) -> NormStats {
         let features: Vec<&[f64]> =
             self.entries().iter().map(|e| e.meta_features.values.as_slice()).collect();
         normalisation_stats_over(&features)
@@ -206,7 +198,7 @@ pub(crate) fn entry_distance(
 
 /// The paper's two-factor vote over an already-ranked neighbour set
 /// (nearest first, already truncated to `n_neighbors`). Factored out of
-/// [`KnowledgeBase::recommend_extended_with_stats`] so a serving index
+/// [`KnowledgeBase::recommend_extended`] so a serving index
 /// can rank with a [`crate::ZIndex`] and still produce byte-identical
 /// recommendations: given the same ranked entries in the same order,
 /// every float operation here runs in the same sequence.

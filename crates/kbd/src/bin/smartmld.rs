@@ -1,26 +1,23 @@
 //! `smartmld` — the SmartML knowledge-base daemon.
 //!
 //! ```text
-//! smartmld --dir KB_DIR [--addr HOST:PORT] [--io blocking|epoll]
-//!          [--shards N] [--segment-bytes N] [--timeout-ms N]
+//! smartmld --dir KB_DIR [--addr HOST:PORT] [--shards N]
+//!          [--segment-bytes N] [--timeout-ms N]
 //!          [--max-connections N] [--no-fsync]
 //!          [--replica-of HOST:PORT]
 //! ```
 //!
 //! Serves `recommend` / `recommend_batch` / `record_run` /
 //! `set_landmarkers` / `stats` / `snapshot` / `sync` / `ping` /
-//! `shutdown` as JSON lines over TCP (see `smartml_kbd::protocol`),
-//! with two interchangeable backends:
+//! `shutdown` as JSON lines over TCP (see `smartml_kbd::protocol`) from
+//! epoll event loops over a sharded store — pipelined, non-blocking,
+//! scales to many connections. `--shards N` sets both the loop and the
+//! shard count (default: the available cores).
 //!
-//! - `--io epoll` (default): event loops over a sharded store —
-//!   pipelined, non-blocking, scales to many connections;
-//! - `--io blocking`: thread-per-connection over the monolithic store —
-//!   the retained oracle, byte-identical in its responses.
-//!
-//! With `--replica-of PRIMARY` (epoll only) the process becomes a read
-//! replica: a background tailer pulls the primary's WAL over the `sync`
-//! verb into `--dir`, while the serving loops answer reads and reject
-//! writes with a `not_primary` redirect.
+//! With `--replica-of PRIMARY` the process becomes a read replica: a
+//! background tailer pulls the primary's WAL over the `sync` verb into
+//! `--dir`, while the serving loops answer reads and reject writes with
+//! a `not_primary` redirect.
 //!
 //! `--addr` defaulting to port `0` picks an ephemeral port; the chosen
 //! address is printed on the `listening on` line so scripts can scrape
@@ -28,7 +25,7 @@
 
 use smartml_kbd::{
     DurableOptions, EventServer, EventServerOptions, ReplicaOptions, ReplicaTailer, ServeRole,
-    Server, ServerOptions, ShardedKb,
+    ShardedKb,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -42,8 +39,8 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         eprintln!(
-            "usage: smartmld --dir KB_DIR [--addr HOST:PORT] [--io blocking|epoll] \
-             [--shards N] [--segment-bytes N] [--timeout-ms N] [--max-connections N] \
+            "usage: smartmld --dir KB_DIR [--addr HOST:PORT] [--shards N] \
+             [--segment-bytes N] [--timeout-ms N] [--max-connections N] \
              [--no-fsync] [--replica-of HOST:PORT]"
         );
         return ExitCode::from(2);
@@ -111,92 +108,67 @@ fn report_recovery(recovery: &smartml_kbd::RecoveryReport, datasets: usize, runs
 fn serve(args: &[String]) -> Result<(), String> {
     let cfg = parse(args)?;
     let replica_of = flag_value(args, "--replica-of").map(str::to_string);
-    match flag_value(args, "--io").unwrap_or("epoll") {
-        "blocking" if replica_of.is_some() => {
-            return Err("--replica-of requires the epoll backend".to_string());
-        }
-        "blocking" => {
-            let server = Server::bind(ServerOptions {
-                dir: cfg.dir.into(),
-                addr: cfg.addr,
-                max_connections: cfg.max_connections,
-                request_timeout: cfg.request_timeout,
-                durable: cfg.durable,
-                role: Default::default(),
-            })
-            .map_err(|e| e.to_string())?;
-            let addr = server.local_addr().map_err(|e| e.to_string())?;
-            let (datasets, runs) = server.shared().read(|s| (s.kb().len(), s.kb().n_runs()));
-            report_recovery(server.recovery(), datasets, runs);
-            // Scraped by scripts/verify.sh and tests: keep the format stable.
-            println!("smartmld: listening on {addr}");
-            server.run().map_err(|e| e.to_string())?;
-        }
-        "epoll" => {
-            let role = match &replica_of {
-                Some(primary) => ServeRole::Replica { primary: primary.clone() },
-                None => ServeRole::Primary,
-            };
-            let shards = if cfg.shards == 0 {
-                smartml_runtime::available_parallelism()
-            } else {
-                cfg.shards
-            };
-            let store = Arc::new(
-                ShardedKb::open_with(std::path::Path::new(&cfg.dir), cfg.durable.clone(), shards)
-                    .map_err(|e| e.to_string())?,
-            );
-            let tailer = replica_of.as_ref().map(|primary| {
-                Arc::new(ReplicaTailer::spawn(
-                    ReplicaOptions {
-                        primary: primary.clone(),
-                        durable: cfg.durable.clone(),
-                        ..ReplicaOptions::default()
-                    },
-                    Arc::clone(&store),
-                ))
-            });
-            let server = EventServer::bind_with_store(
-                EventServerOptions {
-                    dir: cfg.dir.into(),
-                    addr: cfg.addr,
-                    n_loops: shards,
-                    max_connections: cfg.max_connections,
-                    request_timeout: cfg.request_timeout,
-                    durable: cfg.durable,
-                    role,
-                },
-                store,
-            )
-            .map_err(|e| e.to_string())?;
-            let addr = server.local_addr().map_err(|e| e.to_string())?;
-            if let Some(handle) = &tailer {
-                // A PROMOTE request flips the role cell and runs this
-                // hook: the tailer is told to stop (without the serving
-                // thread blocking on its current pull) and the server
-                // starts accepting writes on the next request.
-                let handle = Arc::clone(handle);
-                server.role_cell().set_promote_hook(move || handle.request_stop());
-            }
-            let (datasets, runs) = (server.store().len(), server.store().n_runs());
-            report_recovery(server.recovery(), datasets, runs);
-            println!(
-                "smartmld: epoll backend, {} event loop(s) / shard(s)",
-                server.store().n_shards()
-            );
-            if let Some(primary) = &replica_of {
-                println!("smartmld: read replica of {primary}");
-            }
-            // Scraped by scripts/verify.sh and tests: keep the format stable.
-            println!("smartmld: listening on {addr}");
-            server.run().map_err(|e| e.to_string())?;
-            // The role cell (and any clone the promote hook captured)
-            // died with the serve loops, so this is the final handle:
-            // dropping it stops and joins the tailer thread.
-            drop(tailer);
-        }
-        other => return Err(format!("--io expects `blocking` or `epoll`, got `{other}`")),
+    let role = match &replica_of {
+        Some(primary) => ServeRole::Replica { primary: primary.clone() },
+        None => ServeRole::Primary,
+    };
+    let shards = if cfg.shards == 0 {
+        smartml_runtime::available_parallelism()
+    } else {
+        cfg.shards
+    };
+    let store = Arc::new(
+        ShardedKb::open_with(std::path::Path::new(&cfg.dir), cfg.durable.clone(), shards)
+            .map_err(|e| e.to_string())?,
+    );
+    let tailer = replica_of.as_ref().map(|primary| {
+        Arc::new(ReplicaTailer::spawn(
+            ReplicaOptions {
+                primary: primary.clone(),
+                durable: cfg.durable.clone(),
+                ..ReplicaOptions::default()
+            },
+            Arc::clone(&store),
+        ))
+    });
+    let server = EventServer::bind_with_store(
+        EventServerOptions {
+            dir: cfg.dir.into(),
+            addr: cfg.addr,
+            n_loops: shards,
+            max_connections: cfg.max_connections,
+            request_timeout: cfg.request_timeout,
+            durable: cfg.durable,
+            role,
+        },
+        store,
+    )
+    .map_err(|e| e.to_string())?;
+    let addr = server.local_addr().map_err(|e| e.to_string())?;
+    if let Some(handle) = &tailer {
+        // A PROMOTE request flips the role cell and runs this hook: the
+        // tailer is told to stop (without the serving thread blocking on
+        // its current pull) and the server starts accepting writes on the
+        // next request.
+        let handle = Arc::clone(handle);
+        server.role_cell().set_promote_hook(move || handle.request_stop());
     }
+    let (datasets, runs) = (server.store().len(), server.store().n_runs());
+    report_recovery(server.recovery(), datasets, runs);
+    println!(
+        "smartmld: epoll backend, {} event loop(s) / shard(s)",
+        server.store().n_shards()
+    );
+    if let Some(primary) = &replica_of {
+        println!("smartmld: read replica of {primary}");
+    }
+    // Scraped by scripts/verify.sh and tests: keep the format stable.
+    println!("smartmld: listening on {addr}");
+    server.run().map_err(|e| e.to_string())?;
+    // The role cell (and any clone the promote hook captured) died with
+    // the serve loops, so this is the final handle: dropping it stops and
+    // joins the tailer thread.
+    drop(tailer);
     println!("smartmld: shut down cleanly");
     Ok(())
 }

@@ -1,35 +1,33 @@
-//! [`DurableKb`]: a crash-safe knowledge base directory.
+//! The crash-safe KB directory format, owned by [`crate::ShardedKb`] and
+//! shared by recovery and replication.
 //!
 //! Layout of a KB directory:
 //!
 //! ```text
 //! kb-dir/
-//!   snapshot-000007.json   # full KB as of segment 7 (atomic write)
-//!   wal-000008.log         # sealed segment
-//!   wal-000009.log         # active segment (appends go here)
+//!   snapshot-000007.json        # full KB as of segment 7 (atomic write)
+//!   snapshot-000007.meta.json   # its sidecar: records applied so far
+//!   wal-000008.log              # sealed segment
+//!   wal-000009.log              # active segment (appends go here)
 //! ```
 //!
-//! Opening replays the latest snapshot, then every segment with a higher
-//! sequence number in order — truncating a torn final record instead of
-//! failing — and resumes appending to the highest segment. `snapshot()`
-//! folds the current state into a new snapshot and deletes the segments
-//! (and older snapshots) it covers.
+//! Opening ([`recover_dir`]) replays the latest snapshot, then every
+//! segment with a higher sequence number in order — truncating a torn
+//! final record instead of failing — and resumes appending to the highest
+//! segment. [`crate::ShardedKb::snapshot`] folds the current state into a
+//! new snapshot and deletes the segments (and older snapshots) it covers.
 
 use crate::wal::{
-    list_seqs, meta_name, parse_meta_name, parse_segment_name, parse_snapshot_name, scan_frames,
-    segment_name, snapshot_name, WalRecord, WalWriter,
+    list_seqs, meta_name, parse_segment_name, parse_snapshot_name, scan_frames, segment_name,
+    snapshot_name, WalRecord, WalWriter,
 };
 use serde::{Deserialize, Serialize};
-use smartml_kb::{
-    check_carried, check_landmarkers, check_meta_features, AlgorithmRun, KbBackend, KbError, KnowledgeBase,
-    QueryOptions, Recommendation,
-};
-use smartml_metafeatures::{Landmarkers, MetaFeatures};
+use smartml_kb::{check_carried, check_landmarkers, check_meta_features, KbError, KnowledgeBase};
 use std::fs::{File, OpenOptions};
 use std::io::Read;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// Tuning knobs for a [`DurableKb`].
+/// Tuning knobs for a KB directory's WAL.
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
     /// Rotate the active segment once it exceeds this many bytes.
@@ -126,8 +124,8 @@ pub(crate) fn check_records(path: Option<&Path>, records: &[WalRecord]) -> Resul
 
 /// Replays a KB directory: latest snapshot, then every newer segment in
 /// order (truncating a torn tail), and opens the writer positioned on
-/// the highest segment. Shared by [`DurableKb`] and the sharded index,
-/// so both recover byte-identical state from the same directory.
+/// the highest segment. Every store — primary, replica, in-process —
+/// opens through here ([`crate::ShardedKb::open_with`]).
 pub(crate) fn recover_dir(
     dir: &Path,
     options: &DurableOptions,
@@ -190,179 +188,18 @@ pub(crate) fn recover_dir(
     Ok((kb, writer, recovery))
 }
 
-/// A [`KnowledgeBase`] whose every mutation is WAL-logged to a directory.
-pub struct DurableKb {
-    dir: PathBuf,
-    kb: KnowledgeBase,
-    writer: WalWriter,
-    options: DurableOptions,
-    recovery: RecoveryReport,
-    applied_seq: u64,
-}
-
-impl DurableKb {
-    /// Opens (creating if needed) a KB directory with default options.
-    pub fn open(dir: &Path) -> Result<DurableKb, KbError> {
-        DurableKb::open_with(dir, DurableOptions::default())
-    }
-
-    /// Opens (creating if needed) a KB directory.
-    pub fn open_with(dir: &Path, options: DurableOptions) -> Result<DurableKb, KbError> {
-        let (kb, writer, recovery) = recover_dir(dir, &options)?;
-        let applied_seq = recovery.applied_seq;
-        Ok(DurableKb { dir: dir.to_path_buf(), kb, writer, options, recovery, applied_seq })
-    }
-
-    /// The directory this KB lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Borrow the in-memory index (always reflects every logged record).
-    pub fn kb(&self) -> &KnowledgeBase {
-        &self.kb
-    }
-
-    /// What recovery found when this handle was opened.
-    pub fn recovery(&self) -> &RecoveryReport {
-        &self.recovery
-    }
-
-    /// Sequence number of the active WAL segment.
-    pub fn active_segment(&self) -> u64 {
-        self.writer.seq()
-    }
-
-    /// Total WAL records applied in this directory's lineage (survives
-    /// snapshots via the sidecar). The replication position.
-    pub fn applied_seq(&self) -> u64 {
-        self.applied_seq
-    }
-
-    /// `(active segment, bytes in it)` — the authoritative frame
-    /// boundary a `SYNC` chunk of the active segment may ship up to.
-    pub(crate) fn wal_position(&self) -> (u64, u64) {
-        (self.writer.seq(), self.writer.len())
-    }
-
-    /// Number of WAL segment files currently on disk.
-    pub fn n_segments(&self) -> Result<usize, KbError> {
-        Ok(list_seqs(&self.dir, parse_segment_name)?.len())
-    }
-
-    /// Logs then applies one run observation (WAL discipline: the record
-    /// is on disk before the in-memory index admits it).
-    pub fn record_run(
-        &mut self,
-        dataset_id: &str,
-        meta_features: &MetaFeatures,
-        run: AlgorithmRun,
-    ) -> Result<(), KbError> {
-        let record = WalRecord::Run {
-            dataset_id: dataset_id.to_string(),
-            meta_features: meta_features.clone(),
-            run,
-        };
-        self.writer.append(&record)?;
-        record.apply_to(&mut self.kb);
-        self.applied_seq += 1;
-        Ok(())
-    }
-
-    /// Logs then applies landmarker accuracies for a dataset.
-    pub fn set_landmarkers(
-        &mut self,
-        dataset_id: &str,
-        landmarkers: Landmarkers,
-    ) -> Result<(), KbError> {
-        let record =
-            WalRecord::Landmarkers { dataset_id: dataset_id.to_string(), landmarkers };
-        self.writer.append(&record)?;
-        record.apply_to(&mut self.kb);
-        self.applied_seq += 1;
-        Ok(())
-    }
-
-    /// Folds the current state into a snapshot file and compacts: the
-    /// snapshot is written atomically, then every segment it covers and
-    /// every older snapshot are deleted, and appends continue on a fresh
-    /// segment. Returns the new snapshot's sequence number.
-    pub fn snapshot(&mut self) -> Result<u64, KbError> {
-        self.writer.sync()?;
-        let covered = self.writer.seq();
-        // Atomic write via the single-file KB path (tmp + fsync + rename).
-        self.kb.save(&self.dir.join(snapshot_name(covered)))?;
-        write_snapshot_meta(&self.dir, covered, self.applied_seq)?;
-        // The snapshot now owns everything up to `covered`: drop the
-        // segments it folded and the snapshots (with sidecars) it
-        // supersedes.
-        for seq in list_seqs(&self.dir, parse_segment_name)? {
-            if seq <= covered {
-                std::fs::remove_file(self.dir.join(segment_name(seq)))?;
-            }
-        }
-        for seq in list_seqs(&self.dir, parse_snapshot_name)? {
-            if seq < covered {
-                std::fs::remove_file(self.dir.join(snapshot_name(seq)))?;
-            }
-        }
-        for seq in list_seqs(&self.dir, parse_meta_name)? {
-            if seq < covered {
-                std::fs::remove_file(self.dir.join(meta_name(seq)))?;
-            }
-        }
-        self.writer =
-            WalWriter::open(&self.dir, covered + 1, self.options.segment_bytes, self.options.fsync_writes)?;
-        Ok(covered)
-    }
-}
-
-impl KbBackend for DurableKb {
-    fn kb_recommend(
-        &self,
-        meta_features: &MetaFeatures,
-        query_landmarkers: Option<Landmarkers>,
-        options: &QueryOptions,
-    ) -> Result<Recommendation, KbError> {
-        Ok(self.kb.recommend_extended(meta_features, query_landmarkers, options))
-    }
-
-    fn kb_record_run(
-        &mut self,
-        dataset_id: &str,
-        meta_features: &MetaFeatures,
-        run: AlgorithmRun,
-    ) -> Result<(), KbError> {
-        self.record_run(dataset_id, meta_features, run)
-    }
-
-    fn kb_set_landmarkers(
-        &mut self,
-        dataset_id: &str,
-        landmarkers: Landmarkers,
-    ) -> Result<(), KbError> {
-        self.set_landmarkers(dataset_id, landmarkers)
-    }
-
-    fn kb_len(&self) -> usize {
-        self.kb.len()
-    }
-
-    fn kb_n_runs(&self) -> usize {
-        self.kb.n_runs()
-    }
-
-    fn kb_describe(&self) -> String {
-        format!("wal:{}", self.dir.display())
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The directory format exercised through its one store, opened the
+    //! way the in-process `wal:DIR` backend opens it.
+
     use super::*;
+    use crate::ShardedKb;
     use smartml_classifiers::{Algorithm, ParamConfig};
     use smartml_data::synth::gaussian_blobs;
-    use smartml_metafeatures::extract;
+    use smartml_kb::{AlgorithmRun, KbBackend, QueryOptions};
+    use smartml_metafeatures::{extract, Landmarkers, MetaFeatures};
+    use std::path::PathBuf;
 
     fn mf(seed: u64) -> MetaFeatures {
         let d = gaussian_blobs("m", 40 + seed as usize, 3, 2, 1.0, seed);
@@ -379,21 +216,25 @@ mod tests {
         dir
     }
 
+    fn open(dir: &Path, options: DurableOptions) -> Result<ShardedKb, KbError> {
+        ShardedKb::open_with(dir, options, 1)
+    }
+
     #[test]
     fn reopen_recovers_all_records() {
         let dir = tmp("smartml-durable-reopen");
         {
-            let mut kb = DurableKb::open(&dir).unwrap();
+            let kb = open(&dir, DurableOptions::default()).unwrap();
             for i in 0..5u64 {
                 kb.record_run(&format!("d{i}"), &mf(i), run(0.6 + i as f64 / 100.0)).unwrap();
             }
             kb.set_landmarkers("d0", Landmarkers { decision_stump: 0.4, nearest_centroid: 0.5 })
                 .unwrap();
         } // dropped without snapshot: the WAL is the only persistence
-        let kb = DurableKb::open(&dir).unwrap();
-        assert_eq!(kb.kb().len(), 5);
-        assert_eq!(kb.kb().n_runs(), 5);
-        assert!(kb.kb().get("d0").unwrap().landmarkers.is_some());
+        let kb = open(&dir, DurableOptions::default()).unwrap();
+        assert_eq!(kb.len(), 5);
+        assert_eq!(kb.n_runs(), 5);
+        assert!(kb.to_monolithic().get("d0").unwrap().landmarkers.is_some());
         assert_eq!(kb.recovery().records_replayed, 6);
         assert!(!kb.recovery().truncated_tail);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -404,7 +245,7 @@ mod tests {
         let dir = tmp("smartml-durable-torn");
         let mut reference = KnowledgeBase::new();
         {
-            let mut kb = DurableKb::open(&dir).unwrap();
+            let kb = open(&dir, DurableOptions::default()).unwrap();
             for i in 0..4u64 {
                 kb.record_run(&format!("d{i}"), &mf(i), run(0.7)).unwrap();
                 reference.record_run(&format!("d{i}"), &mf(i), run(0.7));
@@ -423,46 +264,16 @@ mod tests {
             let mut f = std::fs::OpenOptions::new().append(true).open(&active).unwrap();
             f.write_all(&torn[..torn.len() - 7]).unwrap();
         }
-        let kb = DurableKb::open(&dir).unwrap();
+        let kb = open(&dir, DurableOptions::default()).unwrap();
         assert!(kb.recovery().truncated_tail);
-        assert_eq!(kb.kb().len(), 4, "complete records survive, torn one is dropped");
-        // A recommend against the recovered KB matches one against the
-        // same runs applied in memory (ISSUE acceptance criterion).
+        assert_eq!(kb.len(), 4, "complete records survive, torn one is dropped");
+        // A recommend against the recovered store matches one against
+        // the same runs applied in memory.
         let q = mf(2);
         let opts = QueryOptions::default();
-        let recovered = kb.kb().recommend_extended(&q, None, &opts);
+        let recovered = kb.recommend(&q, None, &opts);
         let fresh = reference.recommend_extended(&q, None, &opts);
         assert_eq!(recovered, fresh);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn snapshot_compacts_and_preserves_state() {
-        let dir = tmp("smartml-durable-snapshot");
-        let small = DurableOptions { segment_bytes: 512, fsync_writes: false };
-        let mut kb = DurableKb::open_with(&dir, small.clone()).unwrap();
-        for i in 0..8u64 {
-            kb.record_run(&format!("d{i}"), &mf(i), run(0.8)).unwrap();
-        }
-        assert!(kb.n_segments().unwrap() > 1, "tiny threshold must rotate");
-        let covered = kb.snapshot().unwrap();
-        // All covered segments are gone; one fresh segment remains.
-        let segs = list_seqs(&dir, parse_segment_name).unwrap();
-        assert_eq!(segs, vec![covered + 1]);
-        let snaps = list_seqs(&dir, parse_snapshot_name).unwrap();
-        assert_eq!(snaps, vec![covered]);
-        // Post-snapshot writes land in the WAL; reopen sees everything.
-        kb.record_run("after", &mf(20), run(0.9)).unwrap();
-        drop(kb);
-        let kb = DurableKb::open_with(&dir, small).unwrap();
-        assert_eq!(kb.kb().len(), 9);
-        assert_eq!(kb.recovery().snapshot_seq, Some(covered));
-        assert_eq!(kb.recovery().records_replayed, 1);
-        // A second snapshot supersedes the first.
-        let mut kb = kb;
-        let covered2 = kb.snapshot().unwrap();
-        assert!(covered2 > covered);
-        assert_eq!(list_seqs(&dir, parse_snapshot_name).unwrap(), vec![covered2]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -471,7 +282,7 @@ mod tests {
         let dir = tmp("smartml-durable-midrot-tear");
         let small = DurableOptions { segment_bytes: 256, fsync_writes: false };
         {
-            let mut kb = DurableKb::open_with(&dir, small.clone()).unwrap();
+            let kb = open(&dir, small.clone()).unwrap();
             for i in 0..8u64 {
                 kb.record_run(&format!("d{i}"), &mf(i), run(0.7)).unwrap();
             }
@@ -486,7 +297,7 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&sealed).unwrap();
         f.set_len(len - 5).unwrap();
         drop(f);
-        match DurableKb::open_with(&dir, small) {
+        match open(&dir, small) {
             Err(KbError::Corrupt { path: Some(p), detail }) => {
                 assert!(p.ends_with(segment_name(segs[0])), "{p:?}");
                 assert!(detail.contains("history hole"), "{detail}");
@@ -504,15 +315,15 @@ mod tests {
         // carry the applied count across the compaction.
         let dir = tmp("smartml-durable-empty-tail");
         let opts = DurableOptions { fsync_writes: false, ..Default::default() };
-        let mut kb = DurableKb::open_with(&dir, opts.clone()).unwrap();
+        let kb = open(&dir, opts.clone()).unwrap();
         for i in 0..3u64 {
             kb.record_run(&format!("d{i}"), &mf(i), run(0.8)).unwrap();
         }
         assert_eq!(kb.applied_seq(), 3);
         let covered = kb.snapshot().unwrap();
         drop(kb);
-        let kb = DurableKb::open_with(&dir, opts).unwrap();
-        assert_eq!(kb.kb().len(), 3);
+        let kb = open(&dir, opts).unwrap();
+        assert_eq!(kb.len(), 3);
         assert_eq!(kb.recovery().snapshot_seq, Some(covered));
         assert_eq!(kb.recovery().segments_replayed, 1);
         assert_eq!(kb.recovery().records_replayed, 0);
@@ -527,7 +338,7 @@ mod tests {
         let dir = tmp("smartml-durable-corrupt-snap");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(snapshot_name(3)), "{broken").unwrap();
-        match DurableKb::open(&dir) {
+        match open(&dir, DurableOptions::default()) {
             Err(KbError::Corrupt { path: Some(p), .. }) => {
                 assert!(p.ends_with(snapshot_name(3)));
             }
@@ -540,11 +351,11 @@ mod tests {
     #[test]
     fn backend_trait_roundtrip() {
         let dir = tmp("smartml-durable-backend");
-        let mut kb = DurableKb::open(&dir).unwrap();
+        let mut kb = open(&dir, DurableOptions::default()).unwrap();
         kb.kb_record_run("d", &mf(1), run(0.66)).unwrap();
         assert_eq!(kb.kb_len(), 1);
         assert_eq!(kb.kb_n_runs(), 1);
-        assert!(kb.kb_describe().starts_with("wal:"));
+        assert_eq!(kb.kb_describe(), format!("wal:{}", dir.display()));
         let rec = kb.kb_recommend(&mf(1), None, &QueryOptions::default()).unwrap();
         assert!(!rec.algorithms.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();

@@ -9,17 +9,17 @@
 //!
 //! | layer | type | what it adds |
 //! |-------|------|--------------|
-//! | durability | [`DurableKb`] | write-ahead log with checksummed frames, segment rotation, snapshot + compaction, torn-tail crash recovery |
-//! | concurrency | [`SharedKb`] | `RwLock`-guarded index with generation-keyed cached z-score statistics: readers never pay re-normalisation, never block each other |
-//! | sharding | [`ShardedKb`] | the same WAL under entries split by meta-feature hash: writes lock one shard, reads scan one flat z-score matrix rebuilt in place when a feature row changes, answers byte-identical to the monolithic KB |
-//! | serving | [`Server`] / [`EventServer`] / [`KbClient`] | `smartmld`, a TCP JSON-lines server in two interchangeable backends — blocking thread-per-connection (the retained oracle) and epoll event loops with pipelining and a `recommend_batch` verb — plus a blocking client that is also a [`smartml_kb::KbBackend`] |
+//! | durability | [`DurableOptions`] / [`RecoveryReport`] | the KB directory format: write-ahead log with checksummed frames, segment rotation, snapshot + compaction, torn-tail crash recovery |
+//! | store | [`ShardedKb`] | the one store over that directory: entries split by meta-feature hash, reads scan one flat z-score matrix rebuilt in place when a feature row changes, answers byte-identical to the in-memory KB; in process it is the `wal:DIR` [`smartml_kb::KbBackend`] |
+//! | serving | [`EventServer`] / [`KbClient`] | `smartmld`, a TCP JSON-lines server on epoll event loops with pipelining and a `recommend_batch` verb, plus a blocking client that is also a [`smartml_kb::KbBackend`] |
+//! | replication | [`ReplicaTailer`] | read replicas that tail a primary's WAL over the `sync` verb |
 //!
 //! ```no_run
-//! use smartml_kbd::{Server, ServerOptions, KbClient};
+//! use smartml_kbd::{EventServer, EventServerOptions, KbClient};
 //!
-//! let server = Server::bind(ServerOptions {
+//! let server = EventServer::bind(EventServerOptions {
 //!     dir: "my-kb".into(),
-//!     ..ServerOptions::default()
+//!     ..EventServerOptions::default()
 //! }).unwrap();
 //! let addr = server.local_addr().unwrap();
 //! std::thread::spawn(move || server.run().unwrap());
@@ -33,24 +33,20 @@ mod durable;
 mod event_server;
 mod protocol;
 mod replica;
-mod server;
 mod service;
 mod sharded;
-mod shared;
 mod wal;
 
 pub use client::{KbClient, RetryPolicy};
-pub use durable::{DurableKb, DurableOptions, RecoveryReport};
+pub use durable::{DurableOptions, RecoveryReport};
 pub use event_server::{EventServer, EventServerOptions, LoopStats};
 pub use protocol::{
     oversized_frame_message, read_frame, BatchQuery, FrameStatus, KbStats, Request, Response,
     ServerMetrics, MAX_FRAME_BYTES, SYNC_CHUNK_BYTES,
 };
 pub use replica::{ReplicaHandle, ReplicaOptions, ReplicaTailer};
-pub use server::{Server, ServerOptions};
-pub use service::{RoleCell, ServeRole, ServeStore};
+pub use service::{RoleCell, ServeRole};
 pub use sharded::ShardedKb;
-pub use shared::{LocalStore, SharedKb, SharedKbHandle};
 pub use wal::{
     encode_frame, encode_payload_frame, fnv1a, parse_segment_name, parse_snapshot_name,
     replay_segment, scan_frames, scan_payload_frames, segment_name, snapshot_name,

@@ -1,33 +1,23 @@
-//! Backend-independent request dispatch.
-//!
-//! Both servers — blocking thread-per-connection and event-driven —
-//! execute requests through [`dispatch`] over a [`ServeStore`]. One
-//! code path per verb means the two backends cannot drift: given the
-//! same store state and the same request line, they produce the same
-//! response bytes (the property the `backend_equiv` integration test
-//! pins down).
+//! Request dispatch: one code path per verb, from a request line to
+//! the [`Response`] the [`ShardedKb`] determines. The `backend_equiv`
+//! integration test checks those responses byte for byte against ones
+//! built from an in-memory `KnowledgeBase` fed the same writes.
 
-use crate::durable::{read_snapshot_meta, DurableKb, RecoveryReport};
+use crate::durable::{read_snapshot_meta, RecoveryReport};
 use crate::protocol::{KbStats, Request, Response, ServerMetrics, SYNC_CHUNK_BYTES};
-use crate::shared::SharedKb;
 use crate::sharded::ShardedKb;
 use crate::wal::{
     frames_prefix, list_seqs, parse_segment_name, parse_snapshot_name, segment_name,
     snapshot_name, WAL_FSYNCS, WAL_ROTATIONS,
 };
-use smartml_kb::{
-    check_carried, check_landmarkers, check_meta_features, AlgorithmRun, KbError, QueryOptions,
-    Recommendation,
-};
-use smartml_metafeatures::{Landmarkers, MetaFeatures};
+use smartml_kb::{check_carried, check_landmarkers, check_meta_features, KbError};
 use smartml_obs::{Counter, Gauge, Histogram};
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 // Per-request service metrics (`crate.component.name` convention). One
-// process-wide set, shared by both backends — the METRICS verb reports
-// whichever backend is serving.
+// process-wide set, reported verbatim by the METRICS verb.
 pub(crate) static REQ_TOTAL: Counter = Counter::new("kbd.req.total");
 pub(crate) static REQ_ERRORS: Counter = Counter::new("kbd.req.errors");
 pub(crate) static BYTES_IN: Counter = Counter::new("kbd.bytes_in");
@@ -306,157 +296,6 @@ pub(crate) fn sync_from_dir(
     }
 }
 
-/// What a server backend needs from its store. Implemented by the
-/// monolithic [`SharedKb<DurableKb>`] (blocking backend) and the
-/// [`ShardedKb`] (event-driven backend).
-pub trait ServeStore: Send + Sync + 'static {
-    /// Nominate algorithms for one query.
-    fn serve_recommend(
-        &self,
-        meta_features: &MetaFeatures,
-        landmarkers: Option<Landmarkers>,
-        options: &QueryOptions,
-    ) -> Recommendation;
-    /// Log and apply one run observation.
-    fn serve_record_run(
-        &self,
-        dataset_id: &str,
-        meta_features: &MetaFeatures,
-        run: AlgorithmRun,
-    ) -> Result<(), KbError>;
-    /// Log and apply landmarker accuracies.
-    fn serve_set_landmarkers(
-        &self,
-        dataset_id: &str,
-        landmarkers: Landmarkers,
-    ) -> Result<(), KbError>;
-    /// Datasets known.
-    fn serve_len(&self) -> usize;
-    /// Total recorded runs.
-    fn serve_n_runs(&self) -> usize;
-    /// `(segments on disk, active segment seq)`.
-    fn serve_wal(&self) -> (usize, u64);
-    /// Fold into a snapshot and compact.
-    fn serve_snapshot(&self) -> Result<u64, KbError>;
-    /// Total WAL records applied in this store's lineage.
-    fn serve_applied_seq(&self) -> u64;
-    /// Answer one replication `SYNC` pull from the store's directory.
-    fn serve_sync(&self, segment: u64, offset: u64) -> Result<Response, KbError>;
-}
-
-impl ServeStore for SharedKb<DurableKb> {
-    fn serve_recommend(
-        &self,
-        meta_features: &MetaFeatures,
-        landmarkers: Option<Landmarkers>,
-        options: &QueryOptions,
-    ) -> Recommendation {
-        self.recommend(meta_features, landmarkers, options)
-    }
-
-    fn serve_record_run(
-        &self,
-        dataset_id: &str,
-        meta_features: &MetaFeatures,
-        run: AlgorithmRun,
-    ) -> Result<(), KbError> {
-        self.record_run(dataset_id, meta_features, run)
-    }
-
-    fn serve_set_landmarkers(
-        &self,
-        dataset_id: &str,
-        landmarkers: Landmarkers,
-    ) -> Result<(), KbError> {
-        self.set_landmarkers(dataset_id, landmarkers)
-    }
-
-    fn serve_len(&self) -> usize {
-        self.len()
-    }
-
-    fn serve_n_runs(&self) -> usize {
-        self.n_runs()
-    }
-
-    fn serve_wal(&self) -> (usize, u64) {
-        self.read(|store| (store.n_segments().unwrap_or(0), store.active_segment()))
-    }
-
-    fn serve_snapshot(&self) -> Result<u64, KbError> {
-        self.write(|store| store.snapshot())
-    }
-
-    fn serve_applied_seq(&self) -> u64 {
-        self.read(|store| store.applied_seq())
-    }
-
-    fn serve_sync(&self, segment: u64, offset: u64) -> Result<Response, KbError> {
-        // The read lock excludes snapshot/compaction (which runs under
-        // the write lock), so the files we read cannot move underneath.
-        self.read(|store| {
-            let position = store.wal_position();
-            sync_from_dir(store.dir(), position, store.applied_seq(), segment, offset)
-        })
-    }
-}
-
-impl ServeStore for ShardedKb {
-    fn serve_recommend(
-        &self,
-        meta_features: &MetaFeatures,
-        landmarkers: Option<Landmarkers>,
-        options: &QueryOptions,
-    ) -> Recommendation {
-        self.recommend(meta_features, landmarkers, options)
-    }
-
-    fn serve_record_run(
-        &self,
-        dataset_id: &str,
-        meta_features: &MetaFeatures,
-        run: AlgorithmRun,
-    ) -> Result<(), KbError> {
-        self.record_run(dataset_id, meta_features, run)
-    }
-
-    fn serve_set_landmarkers(
-        &self,
-        dataset_id: &str,
-        landmarkers: Landmarkers,
-    ) -> Result<(), KbError> {
-        self.set_landmarkers(dataset_id, landmarkers)
-    }
-
-    fn serve_len(&self) -> usize {
-        self.len()
-    }
-
-    fn serve_n_runs(&self) -> usize {
-        self.n_runs()
-    }
-
-    fn serve_wal(&self) -> (usize, u64) {
-        (self.n_segments().unwrap_or(0), self.active_segment())
-    }
-
-    fn serve_snapshot(&self) -> Result<u64, KbError> {
-        self.snapshot()
-    }
-
-    fn serve_applied_seq(&self) -> u64 {
-        self.applied_seq()
-    }
-
-    fn serve_sync(&self, segment: u64, offset: u64) -> Result<Response, KbError> {
-        // Holding the WAL mutex excludes both appends and snapshot
-        // compaction, which take it before touching segment files.
-        self.with_wal_position(|position| {
-            sync_from_dir(self.dir(), position, self.applied_seq(), segment, offset)
-        })
-    }
-}
-
 /// Serialises a response line (without the trailing newline).
 pub(crate) fn encode(response: &Response) -> String {
     serde_json::to_string(response).expect("response serialisation cannot fail")
@@ -474,9 +313,9 @@ pub(crate) fn encode_into(response: &Response, out: &mut String) {
 /// A replica serves reads only: every mutating verb (and `SYNC`, which
 /// only a primary can answer authoritatively) is rejected with a typed
 /// [`Response::NotPrimary`] redirect naming the primary's address.
-pub(crate) fn dispatch<S: ServeStore>(
+pub(crate) fn dispatch(
     line: &str,
-    store: &S,
+    store: &ShardedKb,
     recovery: &RecoveryReport,
     role: &RoleCell,
 ) -> (Response, bool) {
@@ -522,7 +361,7 @@ pub(crate) fn dispatch<S: ServeStore>(
         Request::Recommend { meta_features, landmarkers, options } => {
             REQ_RECOMMEND.inc();
             let opts = options.unwrap_or_default();
-            let recommendation = store.serve_recommend(&meta_features, landmarkers, &opts);
+            let recommendation = store.recommend(&meta_features, landmarkers, &opts);
             Response::Recommendation { recommendation }
         }
         Request::RecommendBatch { queries } => {
@@ -533,57 +372,55 @@ pub(crate) fn dispatch<S: ServeStore>(
                 .into_iter()
                 .map(|q| {
                     let opts = q.options.unwrap_or_default();
-                    store.serve_recommend(&q.meta_features, q.landmarkers, &opts)
+                    store.recommend(&q.meta_features, q.landmarkers, &opts)
                 })
                 .collect();
             Response::Recommendations { recommendations }
         }
         Request::RecordRun { dataset_id, meta_features, run } => {
             REQ_RECORD_RUN.inc();
-            match store.serve_record_run(&dataset_id, &meta_features, run) {
-                Ok(()) => Response::Recorded {
-                    datasets: store.serve_len(),
-                    runs: store.serve_n_runs(),
-                },
+            match store.record_run(&dataset_id, &meta_features, run) {
+                Ok(()) => Response::Recorded { datasets: store.len(), runs: store.n_runs() },
                 Err(e) => Response::Error { message: e.to_string() },
             }
         }
         Request::SetLandmarkers { dataset_id, landmarkers } => {
             REQ_SET_LANDMARKERS.inc();
-            match store.serve_set_landmarkers(&dataset_id, landmarkers) {
-                Ok(()) => Response::Recorded {
-                    datasets: store.serve_len(),
-                    runs: store.serve_n_runs(),
-                },
+            match store.set_landmarkers(&dataset_id, landmarkers) {
+                Ok(()) => Response::Recorded { datasets: store.len(), runs: store.n_runs() },
                 Err(e) => Response::Error { message: e.to_string() },
             }
         }
         Request::Stats => {
             REQ_STATS.inc();
-            let (wal_segments, active_segment) = store.serve_wal();
             Response::Stats {
                 stats: KbStats {
-                    datasets: store.serve_len(),
-                    runs: store.serve_n_runs(),
-                    wal_segments,
-                    active_segment,
+                    datasets: store.len(),
+                    runs: store.n_runs(),
+                    wal_segments: store.n_segments().unwrap_or(0),
+                    active_segment: store.active_segment(),
                     snapshot_seq: recovery.snapshot_seq,
                     recovered_records: recovery.records_replayed,
                     recovered_torn_tail: recovery.truncated_tail,
-                    applied_seq: store.serve_applied_seq(),
+                    applied_seq: store.applied_seq(),
                 },
             }
         }
         Request::Snapshot => {
             REQ_SNAPSHOT.inc();
-            match store.serve_snapshot() {
+            match store.snapshot() {
                 Ok(seq) => Response::Snapshotted { snapshot_seq: seq },
                 Err(e) => Response::Error { message: e.to_string() },
             }
         }
         Request::Sync { segment, offset } => {
             REQ_SYNC.inc();
-            match store.serve_sync(segment, offset) {
+            // Holding the WAL mutex excludes both appends and snapshot
+            // compaction, which take it before touching segment files.
+            let synced = store.with_wal_position(|position| {
+                sync_from_dir(store.dir(), position, store.applied_seq(), segment, offset)
+            });
+            match synced {
                 Ok(response) => response,
                 Err(e) => Response::Error { message: e.to_string() },
             }
@@ -591,7 +428,7 @@ pub(crate) fn dispatch<S: ServeStore>(
         Request::Metrics => {
             REQ_METRICS.inc();
             let lag = role.is_replica().then(|| REPLICA_LAG.value().max(0) as u64);
-            Response::Metrics { metrics: collect_metrics(store.serve_applied_seq(), lag) }
+            Response::Metrics { metrics: collect_metrics(store.applied_seq(), lag) }
         }
         Request::Promote => {
             REQ_PROMOTE.inc();

@@ -1,16 +1,20 @@
-//! The two `smartmld` backends are interchangeable: given the same
-//! request script, the blocking thread-per-connection server (the
-//! oracle) and the epoll event-driven server must produce **byte
-//! identical** response lines — writes, reads, landmarkers, batches,
-//! snapshots, and protocol errors alike. And one `recommend_batch` must
-//! answer exactly what the equivalent `recommend` sequence answers.
+//! `smartmld` answers what the in-memory knowledge base determines: given
+//! a request script, every response line of the epoll server must be
+//! **byte identical** to one encoded from a `Response` built from a
+//! `KnowledgeBase` fed the same writes — writes, reads, landmarkers,
+//! batches and protocol errors alike; STATS and SNAPSHOT on the fields the
+//! model determines. Pipelining, batching and a caught-up replica must not
+//! change any answer either.
 
 use smartml_classifiers::{Algorithm, ParamConfig};
 use smartml_data::synth::gaussian_blobs;
-use smartml_kb::{AlgorithmRun, QueryOptions};
+use smartml_kb::{
+    check_carried, check_landmarkers, check_meta_features, AlgorithmRun, KnowledgeBase,
+    QueryOptions,
+};
 use smartml_kbd::{
-    BatchQuery, DurableOptions, EventServer, EventServerOptions, KbClient, ReplicaHandle,
-    ReplicaOptions, ReplicaTailer, Request, Server, ServerOptions, ServeRole, ShardedKb,
+    BatchQuery, DurableOptions, EventServer, EventServerOptions, KbClient, KbStats,
+    ReplicaHandle, ReplicaOptions, ReplicaTailer, Request, Response, ServeRole, ShardedKb,
 };
 use smartml_metafeatures::{extract, Landmarkers, MetaFeatures};
 use std::io::{BufRead, BufReader, Write};
@@ -48,9 +52,9 @@ fn landmarkers(seed: u64) -> Landmarkers {
     }
 }
 
-/// The request script both backends replay: every verb except `metrics`
-/// (whose counters are process-global and timing-dependent), plus a
-/// malformed line whose error must also match.
+/// The request script the server and the model replay: every verb except
+/// `metrics` (whose counters are process-global and timing-dependent),
+/// plus malformed lines whose errors must also match.
 fn script() -> Vec<String> {
     let mut lines = Vec::new();
     let enc = |r: &Request| serde_json::to_string(r).expect("encode request");
@@ -102,7 +106,7 @@ fn script() -> Vec<String> {
     lines.push("{\"op\":\"recommend\",\"meta_features\":\"not a vector\"}".to_string());
     lines.push("plainly not json".to_string());
     // Well-formed, but carrying meta-features no index can hold: refused
-    // at dispatch by both backends alike, and the store does not move.
+    // at dispatch, and the store does not move.
     let short = MetaFeatures { values: vec![0.5, 1.5, 2.5] };
     lines.push(enc(&Request::RecordRun {
         dataset_id: "pill".into(),
@@ -131,19 +135,6 @@ struct Backend {
     addr: String,
     handle: std::thread::JoinHandle<()>,
     dir: PathBuf,
-}
-
-fn spawn_blocking(tag: &str) -> Backend {
-    let dir = temp_dir(tag);
-    let server = Server::bind(ServerOptions {
-        dir: dir.clone(),
-        durable: DurableOptions { fsync_writes: false, ..Default::default() },
-        ..ServerOptions::default()
-    })
-    .expect("blocking server binds");
-    let addr = server.local_addr().expect("addr").to_string();
-    let handle = std::thread::spawn(move || server.run().expect("blocking serve loop"));
-    Backend { addr, handle, dir }
 }
 
 fn spawn_epoll(tag: &str, n_loops: usize) -> Backend {
@@ -208,23 +199,107 @@ fn play_pipelined(addr: &str, lines: &[String]) -> Vec<String> {
         .collect()
 }
 
-#[test]
-fn epoll_and_blocking_backends_answer_byte_identically() {
-    let lines = script();
-    let blocking = spawn_blocking("oracle");
-    let epoll = spawn_epoll("epoll", 3);
+/// The in-memory model of a freshly opened store: the KB every write
+/// is applied to, and the count of writes applied.
+#[derive(Default)]
+struct Model {
+    kb: KnowledgeBase,
+    applied: u64,
+}
 
-    let expected = play_sequential(&blocking.addr, &lines);
-    let sequential = play_sequential(&epoll.addr, &lines);
-    for (i, (want, got)) in expected.iter().zip(&sequential).enumerate() {
+impl Model {
+    /// The response `line` must get, built the way the server builds it
+    /// but from the in-memory KB. `served` is the server's own answer:
+    /// STATS and SNAPSHOT take from it only the WAL fields the model
+    /// cannot know (segment counts and numbers).
+    fn answer(&mut self, line: &str, served: &str) -> Response {
+        let request: Request = match serde_json::from_str(line.trim()) {
+            Ok(r) => r,
+            Err(e) => return Response::Error { message: format!("bad request: {e}") },
+        };
+        let carried = match &request {
+            Request::Recommend { meta_features, landmarkers, .. } => {
+                check_carried(&meta_features.values, *landmarkers)
+            }
+            Request::RecommendBatch { queries } => queries
+                .iter()
+                .try_for_each(|q| check_carried(&q.meta_features.values, q.landmarkers)),
+            Request::RecordRun { meta_features, .. } => check_meta_features(&meta_features.values),
+            Request::SetLandmarkers { landmarkers, .. } => check_landmarkers(*landmarkers),
+            _ => Ok(()),
+        };
+        if let Err(why) = carried {
+            return Response::Error { message: format!("bad request: {why}") };
+        }
+        let served: Response = serde_json::from_str(served).expect("server answers JSON");
+        match request {
+            Request::Ping => Response::Pong,
+            Request::RecordRun { dataset_id, meta_features, run } => {
+                self.kb.record_run(&dataset_id, &meta_features, run);
+                self.applied += 1;
+                Response::Recorded { datasets: self.kb.len(), runs: self.kb.n_runs() }
+            }
+            Request::SetLandmarkers { dataset_id, landmarkers } => {
+                self.kb.set_landmarkers(&dataset_id, landmarkers);
+                self.applied += 1;
+                Response::Recorded { datasets: self.kb.len(), runs: self.kb.n_runs() }
+            }
+            Request::Recommend { meta_features, landmarkers, options } => {
+                let options = options.unwrap_or_default();
+                Response::Recommendation {
+                    recommendation: self.kb.recommend_extended(&meta_features, landmarkers, &options),
+                }
+            }
+            Request::RecommendBatch { queries } => Response::Recommendations {
+                recommendations: queries
+                    .into_iter()
+                    .map(|q| {
+                        let options = q.options.unwrap_or_default();
+                        self.kb.recommend_extended(&q.meta_features, q.landmarkers, &options)
+                    })
+                    .collect(),
+            },
+            Request::Stats => {
+                let Response::Stats { stats } = served else {
+                    panic!("STATS answered {served:?}");
+                };
+                Response::Stats {
+                    stats: KbStats {
+                        datasets: self.kb.len(),
+                        runs: self.kb.n_runs(),
+                        snapshot_seq: None,
+                        recovered_records: 0,
+                        recovered_torn_tail: false,
+                        applied_seq: self.applied,
+                        ..stats
+                    },
+                }
+            }
+            Request::Snapshot => match served {
+                Response::Snapshotted { snapshot_seq } if snapshot_seq >= 1 => served,
+                other => panic!("SNAPSHOT answered {other:?}"),
+            },
+            other => panic!("the script sends no {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn epoll_server_answers_byte_identically_to_the_in_memory_model() {
+    let lines = script();
+    let epoll = spawn_epoll("epoll", 3);
+    let served = play_sequential(&epoll.addr, &lines);
+
+    let mut model = Model::default();
+    for (i, (line, got)) in lines.iter().zip(&served).enumerate() {
+        let want = serde_json::to_string(&model.answer(line, got)).expect("encode response");
         assert_eq!(
-            want, got,
-            "response {i} diverged between backends for request: {}",
-            lines[i]
+            format!("{want}\n"),
+            *got,
+            "response {i} diverged from the in-memory model for request: {line}"
         );
     }
 
-    shutdown(blocking);
     shutdown(epoll);
 }
 

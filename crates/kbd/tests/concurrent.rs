@@ -1,13 +1,13 @@
-//! Satellite: concurrent writers (`record_run`) against concurrent
-//! readers (`recommend`) on one [`SharedKb`]. Readers must always see a
+//! Concurrent writers (`record_run`) against concurrent readers
+//! (`recommend`) on one [`ShardedKb`]. Readers must always see a
 //! consistent prefix of the writes — never a half-applied record, never
-//! normalisation statistics from a different generation than the entries
-//! they score — and the final state must be coherent.
+//! z-scores from a different feature table than the entries they score —
+//! and the final state must be coherent, in memory and after recovery.
 
 use smartml_classifiers::{Algorithm, ParamConfig};
 use smartml_data::synth::gaussian_blobs;
 use smartml_kb::{AlgorithmRun, KnowledgeBase, QueryOptions};
-use smartml_kbd::SharedKb;
+use smartml_kbd::{DurableOptions, ShardedKb};
 use smartml_metafeatures::{extract, MetaFeatures};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -38,37 +38,40 @@ fn writers_and_readers_interleave_without_tearing() {
     const RECORDS_PER_WRITER: usize = 25;
     const READERS: usize = 4;
 
-    let shared = Arc::new(SharedKb::new(KnowledgeBase::new()));
+    let dir = std::env::temp_dir().join(format!("smartml-kbd-cc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = DurableOptions { fsync_writes: false, ..Default::default() };
+    let store = Arc::new(ShardedKb::open_with(&dir, durable, 4).unwrap());
     // Seed one entry so readers always have something to score.
-    shared.record_run("seed", &mf(999), observation(9, 0).2).unwrap();
+    store.record_run("seed", &mf(999), observation(9, 0).2).unwrap();
 
     let done = Arc::new(AtomicBool::new(false));
     let options = QueryOptions { n_neighbors: 8, ..QueryOptions::default() };
 
     std::thread::scope(|scope| {
         for w in 0..WRITERS {
-            let shared = Arc::clone(&shared);
+            let store = Arc::clone(&store);
             scope.spawn(move || {
                 for i in 0..RECORDS_PER_WRITER {
                     let (id, mf, run) = observation(w, i);
-                    shared.record_run(&id, &mf, run).expect("record_run");
+                    store.record_run(&id, &mf, run).expect("record_run");
                 }
             });
         }
         for r in 0..READERS {
-            let shared = Arc::clone(&shared);
+            let store = Arc::clone(&store);
             let done = Arc::clone(&done);
             let options = options.clone();
             scope.spawn(move || {
                 let query = mf(5000 + r as u64);
                 let mut last_len = 0usize;
-                let mut last_generation = 0u64;
+                let mut last_applied = 0u64;
                 let mut queries = 0usize;
                 while !done.load(Ordering::Acquire) || queries == 0 {
-                    let g_before = shared.generation();
-                    let len_before = shared.len();
-                    let rec = shared.recommend(&query, None, &options);
-                    let len_after = shared.len();
+                    let applied_before = store.applied_seq();
+                    let len_before = store.len();
+                    let rec = store.recommend(&query, None, &options);
+                    let len_after = store.len();
                     queries += 1;
 
                     // A consistent prefix: every neighbour is a dataset
@@ -88,24 +91,24 @@ fn writers_and_readers_interleave_without_tearing() {
                         assert!(a.score.is_finite());
                     }
 
-                    // Size and generation only move forward.
+                    // Size and the applied write count only move forward.
                     assert!(len_after >= len_before);
                     assert!(len_after >= last_len);
-                    assert!(shared.generation() >= g_before);
-                    assert!(g_before >= last_generation);
+                    assert!(store.applied_seq() >= applied_before);
+                    assert!(applied_before >= last_applied);
                     last_len = len_after;
-                    last_generation = g_before;
+                    last_applied = applied_before;
                 }
             });
         }
         // The writer threads finish first (scope ordering is not
         // guaranteed, so track completion explicitly).
         scope.spawn({
-            let shared = Arc::clone(&shared);
+            let store = Arc::clone(&store);
             let done = Arc::clone(&done);
             move || {
                 let target = 1 + WRITERS * RECORDS_PER_WRITER;
-                while shared.len() < target {
+                while store.len() < target {
                     std::thread::yield_now();
                 }
                 done.store(true, Ordering::Release);
@@ -114,12 +117,23 @@ fn writers_and_readers_interleave_without_tearing() {
     });
 
     // Coherent final state: every write applied exactly once.
-    assert_eq!(shared.len(), 1 + WRITERS * RECORDS_PER_WRITER);
-    assert_eq!(shared.n_runs(), 1 + WRITERS * RECORDS_PER_WRITER);
+    assert_eq!(store.len(), 1 + WRITERS * RECORDS_PER_WRITER);
+    assert_eq!(store.n_runs(), 1 + WRITERS * RECORDS_PER_WRITER);
 
-    // The cached-stats path now agrees with a direct uncached query.
+    // The cached z-score path now agrees with the in-memory KB rebuilt
+    // from the same entries.
     let query = mf(7777);
-    let cached = shared.recommend(&query, None, &options);
-    let direct = shared.read(|kb| kb.recommend_extended(&query, None, &options));
+    let cached = store.recommend(&query, None, &options);
+    let direct = store.to_monolithic().recommend_extended(&query, None, &options);
     assert_eq!(cached, direct);
+
+    // Recovery replays the concurrent history exactly, in WAL order.
+    let json = |kb: &KnowledgeBase| serde_json::to_string(kb).unwrap();
+    let expected = json(&store.to_monolithic());
+    drop(store);
+    let reopened = ShardedKb::open_with(&dir, DurableOptions::default(), 4).unwrap();
+    assert_eq!(reopened.len(), 1 + WRITERS * RECORDS_PER_WRITER);
+    assert_eq!(reopened.n_runs(), 1 + WRITERS * RECORDS_PER_WRITER);
+    assert_eq!(json(&reopened.to_monolithic()), expected);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,7 +6,7 @@
 use smartml_classifiers::{Algorithm, ParamConfig};
 use smartml_data::synth::gaussian_blobs;
 use smartml_kb::{AlgorithmRun, KnowledgeBase, QueryOptions};
-use smartml_kbd::{DurableOptions, KbClient, Server, ServerOptions};
+use smartml_kbd::{DurableOptions, EventServer, EventServerOptions, KbClient};
 use smartml_metafeatures::{extract, MetaFeatures};
 use std::path::{Path, PathBuf};
 
@@ -35,10 +35,11 @@ fn observation(i: u64) -> (String, MetaFeatures, AlgorithmRun) {
 }
 
 fn spawn_server(dir: &Path) -> (KbClient, std::thread::JoinHandle<()>) {
-    let server = Server::bind(ServerOptions {
+    let server = EventServer::bind(EventServerOptions {
         dir: dir.to_path_buf(),
+        n_loops: 2,
         durable: DurableOptions { fsync_writes: false, ..Default::default() },
-        ..ServerOptions::default()
+        ..EventServerOptions::default()
     })
     .expect("server binds");
     let addr = server.local_addr().expect("bound address").to_string();

@@ -13,7 +13,7 @@ use smartml::bootstrap::{bootstrap_dataset, BootstrapProfile};
 use smartml::{Budget, KnowledgeBase, SmartML, SmartMlOptions};
 use smartml_data::synth::{gaussian_blobs, xor_parity};
 use smartml_kb::QueryOptions;
-use smartml_kbd::DurableKb;
+use smartml_kbd::{DurableOptions, ShardedKb};
 use smartml_metafeatures::extract;
 
 fn main() {
@@ -30,7 +30,9 @@ fn main() {
         let xor = xor_parity(&format!("past-xor-{seed}"), 300, 2, 10, 0.02, seed);
         bootstrap_dataset(&mut bootstrapped, &xor, &profile);
     }
-    let mut durable = DurableKb::open(&kb_dir).expect("WAL dir opens");
+    // One shard: the store `smartmld` serves, opened in process.
+    let open = || ShardedKb::open_with(&kb_dir, DurableOptions::default(), 1);
+    let durable = open().expect("WAL dir opens");
     for entry in bootstrapped.entries() {
         for run in &entry.runs {
             durable
@@ -40,8 +42,8 @@ fn main() {
     }
     println!(
         "session 1: bootstrapped {} datasets / {} runs into wal:{} (active segment {})\n",
-        durable.kb().len(),
-        durable.kb().n_runs(),
+        durable.len(),
+        durable.n_runs(),
         kb_dir.display(),
         durable.active_segment()
     );
@@ -49,7 +51,7 @@ fn main() {
     drop(durable);
 
     // Session 2: a fresh process recovers the log and asks for advice.
-    let durable = DurableKb::open(&kb_dir).expect("WAL recovers");
+    let durable = open().expect("WAL recovers");
     let recovery = durable.recovery().clone();
     println!(
         "session 2: recovered {} records from {} segments (snapshot: {:?})",
@@ -57,7 +59,7 @@ fn main() {
     );
     let new_task = xor_parity("new-task", 320, 2, 12, 0.02, 77);
     let meta = extract(&new_task, &new_task.all_rows());
-    let recommendation = durable.kb().recommend(&meta, &QueryOptions::default());
+    let recommendation = durable.recommend(&meta, None, &QueryOptions::default());
     println!("KB advice for '{}' (xor-like):", new_task.name);
     for rec in &recommendation.algorithms {
         println!(
@@ -72,26 +74,26 @@ fn main() {
     // the run makes is WAL-logged before it is applied.
     let options = SmartMlOptions::default().with_budget(Budget::Trials(15)).with_seed(3);
     let mut engine = SmartML::with_backend(durable, options);
-    let before = engine.kb().kb().n_runs();
+    let before = engine.kb().n_runs();
     let outcome = engine.run(&new_task).expect("pipeline runs");
     println!(
         "\nwinner: {} at {:.1}% validation accuracy",
         outcome.report.best.algorithm.paper_name(),
         outcome.report.best.validation_accuracy * 100.0
     );
-    let mut durable = engine.into_kb();
-    println!("KB grew {} -> {} runs; compacting.", before, durable.kb().n_runs());
+    let durable = engine.into_kb();
+    println!("KB grew {} -> {} runs; compacting.", before, durable.n_runs());
 
     // Compact: fold the log into a snapshot; old segments are deleted and
     // the next open replays nothing.
     let covered = durable.snapshot().expect("snapshot");
     drop(durable);
-    let durable = DurableKb::open(&kb_dir).expect("reopen from snapshot");
+    let durable = open().expect("reopen from snapshot");
     println!(
         "session 3: snapshot at segment {covered}; reopened with {} records replayed, {} datasets / {} runs",
         durable.recovery().records_replayed,
-        durable.kb().len(),
-        durable.kb().n_runs()
+        durable.len(),
+        durable.n_runs()
     );
     std::fs::remove_dir_all(&kb_dir).ok();
 }

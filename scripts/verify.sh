@@ -59,8 +59,8 @@ CLI=./target/release/smartml-cli
 SMARTMLD=./target/release/smartmld
 
 start_server() {
-  local io="$1" log="$2"
-  "$SMARTMLD" --dir "$SMOKE_DIR/kb-$io" --addr 127.0.0.1:0 --io "$io" > "$log" 2>&1 &
+  local dir="$1" log="$2"
+  "$SMARTMLD" --dir "$dir" --addr 127.0.0.1:0 > "$log" 2>&1 &
   SERVER_PID=$!
   ADDR=""
   for _ in $(seq 1 100); do
@@ -68,16 +68,13 @@ start_server() {
     [ -n "$ADDR" ] && return 0
     sleep 0.1
   done
-  echo "smartmld --io $io failed to start:"; cat "$log"; exit 1
+  echo "smartmld failed to start:"; cat "$log"; exit 1
 }
 
-# Same smoke against both backends: the event-driven server must honour
-# every durability and protocol contract the blocking oracle does.
 smartmld_smoke() {
-  local io="$1"
-  echo "==> smartmld --io $io: record, query, METRICS round-trip, kill -9, restart, verify recovery"
+  echo "==> smartmld: record, query, METRICS round-trip, kill -9, restart, verify recovery"
 
-  start_server "$io" "$SMOKE_DIR/server1-$io.log"
+  start_server "$SMOKE_DIR/kb" "$SMOKE_DIR/server1.log"
   "$CLI" kb record "$CSV" --kb "tcp:$ADDR" --algorithm KNN --accuracy 0.91 > /dev/null
   "$CLI" kb record "$CSV" --kb "tcp:$ADDR" --algorithm RandomForest --accuracy 0.88 > /dev/null
 
@@ -99,7 +96,7 @@ smartmld_smoke() {
   wait "$SERVER_PID" 2>/dev/null || true
   SERVER_PID=""
 
-  start_server "$io" "$SMOKE_DIR/server2-$io.log"
+  start_server "$SMOKE_DIR/kb" "$SMOKE_DIR/server2.log"
   "$CLI" kb stats --kb "tcp:$ADDR" | grep "1 datasets / 2 runs" > /dev/null \
     || { echo "recovery lost records"; "$CLI" kb stats --kb "tcp:$ADDR"; exit 1; }
   "$CLI" kb query "$CSV" --kb "tcp:$ADDR" | grep "KNN" > /dev/null \
@@ -107,11 +104,10 @@ smartmld_smoke() {
   kill -9 "$SERVER_PID"
   wait "$SERVER_PID" 2>/dev/null || true
   SERVER_PID=""
-  echo "    smartmld --io $io survives kill -9 with no data loss"
+  echo "    smartmld survives kill -9 with no data loss"
 }
 
-smartmld_smoke blocking
-smartmld_smoke epoll
+smartmld_smoke
 
 echo "==> fault injection: panics/hangs at 30% contained, ledger exact, kill-the-trial watchdog"
 echo "    (includes ASHA rung-promotion determinism under 30% injected panics)"
@@ -119,7 +115,7 @@ cargo test -q --offline --features fault-injection \
   -p smartml-smac --test fault_injection \
   -p smartml-integration --test fault_containment --test asha_determinism
 
-echo "==> kbd: epoll vs blocking byte-identical responses under the fault-injection harness"
+echo "==> kbd: server responses byte-identical to the in-memory KB model under the fault-injection harness"
 echo "    (includes replica catch-up byte-identity under 30% injected pull/apply panics)"
 cargo test -q --offline --features fault-injection \
   -p smartml-kbd --test backend_equiv --test replication
@@ -129,7 +125,7 @@ PROPTEST_CASES=2048 cargo test -q --offline --release \
   -p smartml-kbd --test sharded_differential --test zindex_alloc --test misbehaving_clients
 
 echo "==> replication chaos: primary + replica, kill -9 both sides, failover reads"
-start_server epoll "$SMOKE_DIR/repl-primary.log"
+start_server "$SMOKE_DIR/kb" "$SMOKE_DIR/repl-primary.log"
 PRIMARY_PID="$SERVER_PID"
 PADDR="$ADDR"
 "$CLI" kb record "$CSV" --kb "tcp:$PADDR" --algorithm KNN --accuracy 0.91 > /dev/null
@@ -140,7 +136,7 @@ PRIMARY_SEQ="$("$CLI" kb stats --kb "tcp:$PADDR" | sed -n 's/.*applied seq \([0-
 
 start_replica() {
   local log="$1"
-  "$SMARTMLD" --dir "$SMOKE_DIR/kb-replica" --addr 127.0.0.1:0 --io epoll \
+  "$SMARTMLD" --dir "$SMOKE_DIR/kb-replica" --addr 127.0.0.1:0 \
     --replica-of "$PADDR" > "$log" 2>&1 &
   REPLICA_PID=$!
   RADDR=""
@@ -300,9 +296,6 @@ echo "==> perf smoke: job service submit-to-running latency + jobs/hour vs commi
 
 echo "==> perf smoke: replication catch-up + failover latency vs committed baseline"
 ./target/release/kb_replication_bench --quick --check BENCH_kb_replication.json > /dev/null
-
-echo "==> perf smoke: kb_service bench vs committed baseline (gates epoll >= 4x blocking at 64 conns)"
-./target/release/kb_bench --quick --check BENCH_kb_service.json > /dev/null
 
 echo "==> perf smoke: tree kernels vs committed baseline (fails on panic or >5x regression)"
 ./target/release/tree_kernels --quick --check BENCH_tree_kernels.json > /dev/null
