@@ -278,6 +278,35 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_compacts_and_preserves_state() {
+        let dir = tmp("smartml-durable-snapshot");
+        let small = DurableOptions { segment_bytes: 512, fsync_writes: false };
+        let kb = open(&dir, small.clone()).unwrap();
+        for i in 0..8u64 {
+            kb.record_run(&format!("d{i}"), &mf(i), run(0.8)).unwrap();
+        }
+        assert!(kb.n_segments().unwrap() > 1, "tiny threshold must rotate");
+        let covered = kb.snapshot().unwrap();
+        // All covered segments are gone; one fresh segment remains.
+        let segs = list_seqs(&dir, parse_segment_name).unwrap();
+        assert_eq!(segs, vec![covered + 1]);
+        let snaps = list_seqs(&dir, parse_snapshot_name).unwrap();
+        assert_eq!(snaps, vec![covered]);
+        // Post-snapshot writes land in the WAL; reopen sees everything.
+        kb.record_run("after", &mf(20), run(0.9)).unwrap();
+        drop(kb);
+        let kb = open(&dir, small).unwrap();
+        assert_eq!(kb.len(), 9);
+        assert_eq!(kb.recovery().snapshot_seq, Some(covered));
+        assert_eq!(kb.recovery().records_replayed, 1);
+        // A second snapshot supersedes the first.
+        let covered2 = kb.snapshot().unwrap();
+        assert!(covered2 > covered);
+        assert_eq!(list_seqs(&dir, parse_snapshot_name).unwrap(), vec![covered2]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn mid_rotation_tear_refuses_to_open() {
         let dir = tmp("smartml-durable-midrot-tear");
         let small = DurableOptions { segment_bytes: 256, fsync_writes: false };
