@@ -4,7 +4,9 @@ use super::encode::DenseEncoder;
 use crate::api::{check_fit_preconditions, Classifier, ClassifierError, TrainedModel};
 use crate::params::ParamConfig;
 use smartml_data::Dataset;
-use smartml_linalg::{cholesky, kernels, solve_lower_triangular_into, vecops, Matrix};
+use smartml_linalg::{
+    cholesky, kernels, solve_lower_triangular_block, vecops, Matrix, SOLVE_BLOCK,
+};
 use std::sync::Arc;
 
 /// LDA — linear discriminant analysis with a pooled covariance.
@@ -69,35 +71,66 @@ struct GaussianDiscriminant {
     classes: Vec<Option<ClassGaussian>>,
 }
 
+impl GaussianDiscriminant {
+    /// Hands each row's class probabilities to `visit`, in row order.
+    ///
+    /// Rows go through [`SOLVE_BLOCK`] at a time: the block is encoded into
+    /// scratch, and per class its `x-μ` is laid out interleaved so that one
+    /// blocked solve gives every row's `L⁻¹(x-μ)`. A row's Mahalanobis sum,
+    /// score and softmax run the same operations in the same order as one
+    /// row on its own, so the block changes no bit. Scratch is sized once
+    /// per call.
+    fn for_each_proba(&self, data: &Dataset, rows: &[usize], mut visit: impl FnMut(&mut [f64])) {
+        const B: usize = SOLVE_BLOCK;
+        let encoder = self.encoder.bind(data);
+        let d = self.encoder.dim();
+        let k = self.classes.len();
+        let mut x = vec![0.0; B * d];
+        let mut diff = vec![0.0; d * B];
+        let mut z = vec![0.0; d * B];
+        let mut scores = vec![0.0; B * k];
+        for block in rows.chunks(B) {
+            let len = block.len();
+            encoder.encode_into(block, &mut x[..len * d]);
+            for (c, cg) in self.classes.iter().enumerate() {
+                let Some(cg) = cg else {
+                    for r in 0..len {
+                        scores[r * k + c] = f64::NEG_INFINITY;
+                    }
+                    continue;
+                };
+                // Lanes past `len` keep the previous block's values; their
+                // solutions are never read.
+                for (r, row) in x.chunks_exact(d.max(1)).take(len).enumerate() {
+                    for (j, (&v, &m)) in row.iter().zip(&cg.mean).enumerate() {
+                        diff[j * B + r] = v - m;
+                    }
+                }
+                solve_lower_triangular_block(&cg.covariance.chol, &diff, &mut z);
+                for r in 0..len {
+                    let maha: f64 = z.iter().skip(r).step_by(B).map(|v| v * v).sum();
+                    scores[r * k + c] = cg.log_prior - 0.5 * (maha + cg.covariance.log_det);
+                }
+            }
+            for row in scores.chunks_exact_mut(k).take(len) {
+                vecops::softmax_inplace(row);
+                visit(row);
+            }
+        }
+    }
+}
+
 impl TrainedModel for GaussianDiscriminant {
     fn predict_proba(&self, data: &Dataset, rows: &[usize]) -> Vec<Vec<f64>> {
-        let x = self.encoder.encode(data, rows);
-        // Scratch for x-μ and L⁻¹(x-μ), reused by every (row, class).
-        let mut diff = vec![0.0; x.cols()];
-        let mut z = vec![0.0; x.cols()];
-        (0..x.rows())
-            .map(|r| {
-                let row = x.row(r);
-                let mut scores: Vec<f64> = self
-                    .classes
-                    .iter()
-                    .map(|cg| match cg {
-                        Some(cg) => {
-                            // Mahalanobis via triangular solve: ‖L⁻¹(x-μ)‖².
-                            for (d, (a, b)) in diff.iter_mut().zip(row.iter().zip(&cg.mean)) {
-                                *d = a - b;
-                            }
-                            solve_lower_triangular_into(&cg.covariance.chol, &diff, &mut z);
-                            let maha: f64 = z.iter().map(|v| v * v).sum();
-                            cg.log_prior - 0.5 * (maha + cg.covariance.log_det)
-                        }
-                        None => f64::NEG_INFINITY,
-                    })
-                    .collect();
-                vecops::softmax_inplace(&mut scores);
-                scores
-            })
-            .collect()
+        let mut out = Vec::with_capacity(rows.len());
+        self.for_each_proba(data, rows, |p| out.push(p.to_vec()));
+        out
+    }
+
+    fn predict(&self, data: &Dataset, rows: &[usize]) -> Vec<u32> {
+        let mut out = Vec::with_capacity(rows.len());
+        self.for_each_proba(data, rows, |p| out.push(vecops::argmax(p).unwrap_or(0) as u32));
+        out
     }
 }
 
@@ -112,6 +145,11 @@ struct ScatterStats {
     d: usize,
 }
 
+/// Per-class means, then the per-class and pooled scatters, accumulated row
+/// by row into packed upper triangles: one fused loop per nonzero `x_i - μ_i`
+/// updates the class and pooled cells of that row of the triangle. Every
+/// cell sums its rows' products in row order (a zero difference adds
+/// nothing and is skipped), then the triangles are mirrored out.
 fn scatter_stats(x: &Matrix, y: &[u32], n_classes: usize) -> ScatterStats {
     let (n, d) = x.shape();
     let mut means = vec![vec![0.0; d]; n_classes];
@@ -128,35 +166,50 @@ fn scatter_stats(x: &Matrix, y: &[u32], n_classes: usize) -> ScatterStats {
             }
         }
     }
-    let mut scatters = vec![Matrix::zeros(d, d); n_classes];
-    let mut pooled = Matrix::zeros(d, d);
+    let tri = d * (d + 1) / 2;
+    let mut class_tris = vec![0.0; n_classes * tri];
+    let mut pooled_tri = vec![0.0; tri];
     let mut diff = vec![0.0; d];
     for r in 0..n {
         let c = y[r] as usize;
         for (dv, (&v, &m)) in diff.iter_mut().zip(x.row(r).iter().zip(&means[c])) {
             *dv = v - m;
         }
-        // Rank-1 update of the upper triangles via contiguous AXPYs over
-        // the row tails; per-cell accumulation order matches the scalar
-        // loop it replaces (the zero-skip is preserved for its semantics).
+        let class_tri = &mut class_tris[c * tri..(c + 1) * tri];
+        let mut at = 0;
         for i in 0..d {
             let di = diff[i];
+            let cells = at..at + (d - i);
+            at = cells.end;
             if di == 0.0 {
                 continue;
             }
-            kernels::axpy(&mut scatters[c].row_mut(i)[i..], di, &diff[i..]);
-            kernels::axpy(&mut pooled.row_mut(i)[i..], di, &diff[i..]);
-        }
-    }
-    // Mirror the upper triangles.
-    for m in scatters.iter_mut().chain(std::iter::once(&mut pooled)) {
-        for i in 0..d {
-            for j in (i + 1)..d {
-                m[(j, i)] = m[(i, j)];
+            for ((s, p), &dj) in
+                class_tri[cells.clone()].iter_mut().zip(&mut pooled_tri[cells]).zip(&diff[i..])
+            {
+                let t = di * dj;
+                *s += t;
+                *p += t;
             }
         }
     }
+    let scatters = (0..n_classes).map(|c| unpack(&class_tris[c * tri..(c + 1) * tri], d)).collect();
+    let pooled = unpack(&pooled_tri, d);
     ScatterStats { means, scatters, counts, pooled, n, d }
+}
+
+/// The symmetric `d x d` matrix whose upper triangle is packed row by row
+/// in `tri`.
+fn unpack(tri: &[f64], d: usize) -> Matrix {
+    let mut m = Matrix::zeros(d, d);
+    let mut cells = tri.iter();
+    for i in 0..d {
+        for (j, &v) in (i..d).zip(&mut cells) {
+            m[(i, j)] = v;
+            m[(j, i)] = v;
+        }
+    }
+    m
 }
 
 /// Factors a covariance matrix, adding diagonal jitter until Cholesky
@@ -202,8 +255,13 @@ impl Lda {
     ) -> Result<GaussianDiscriminant, ClassifierError> {
         let n_classes = check_fit_preconditions("LDA", data, rows, 4)?;
         let (encoder, x) = DenseEncoder::fit(data, rows, true);
-        let y = data.labels_for(rows);
-        let stats = scatter_stats(&x, &y, n_classes);
+        let stats = scatter_stats(&x, &data.labels_for(rows), n_classes);
+        Ok(GaussianDiscriminant { encoder, classes: self.classes(&stats)? })
+    }
+
+    /// The class Gaussians over one pooled covariance.
+    fn classes(&self, stats: &ScatterStats) -> Result<Vec<Option<ClassGaussian>>, ClassifierError> {
+        let n_classes = stats.counts.len();
         let denom = (stats.n.saturating_sub(n_classes)).max(1) as f64;
         let mut pooled = stats.pooled.scale(1.0 / denom);
         let d = stats.d;
@@ -223,7 +281,7 @@ impl Lda {
         // One factorisation, shared by every class.
         let covariance = factor(pooled, "LDA")?;
         let n = stats.n as f64;
-        let classes = (0..n_classes)
+        Ok((0..n_classes)
             .map(|c| {
                 (stats.counts[c] > 0).then(|| ClassGaussian {
                     mean: stats.means[c].clone(),
@@ -231,8 +289,7 @@ impl Lda {
                     log_prior: (stats.counts[c] as f64 / n).ln(),
                 })
             })
-            .collect();
-        Ok(GaussianDiscriminant { encoder, classes })
+            .collect())
     }
 }
 
@@ -254,8 +311,13 @@ impl Rda {
     ) -> Result<GaussianDiscriminant, ClassifierError> {
         let n_classes = check_fit_preconditions("RDA", data, rows, 4)?;
         let (encoder, x) = DenseEncoder::fit(data, rows, true);
-        let y = data.labels_for(rows);
-        let stats = scatter_stats(&x, &y, n_classes);
+        let stats = scatter_stats(&x, &data.labels_for(rows), n_classes);
+        Ok(GaussianDiscriminant { encoder, classes: self.classes(&stats)? })
+    }
+
+    /// The class Gaussians, each over its own regularised covariance.
+    fn classes(&self, stats: &ScatterStats) -> Result<Vec<Option<ClassGaussian>>, ClassifierError> {
+        let n_classes = stats.counts.len();
         let d = stats.d;
         let pooled_cov = stats.pooled.scale(1.0 / (stats.n.saturating_sub(n_classes)).max(1) as f64);
         let n = stats.n as f64;
@@ -281,30 +343,83 @@ impl Rda {
                 log_prior: (nk / n).ln(),
             }));
         }
-        Ok(GaussianDiscriminant { encoder, classes })
+        Ok(classes)
     }
 }
 
+/// The per-row code the kernels replaced, kept to check them against.
 #[cfg(test)]
-mod tests {
+mod oracle {
     use super::*;
-    use smartml_data::accuracy;
-    use smartml_data::synth::{gaussian_blobs, imbalanced_mixture};
+    use crate::algorithms::encode::oracle as encode;
 
-    fn holdout(clf: &dyn Classifier, d: &Dataset) -> f64 {
-        let (train, test): (Vec<usize>, Vec<usize>) = (0..d.n_rows()).partition(|i| i % 2 == 0);
-        let model = clf.fit(d, &train).unwrap();
-        accuracy(&d.labels_for(&test), &model.predict(d, &test))
+    /// `scatter_stats` as it was: full matrices, one AXPY per row of the
+    /// upper triangle per training row.
+    fn scatter_stats(x: &Matrix, y: &[u32], n_classes: usize) -> ScatterStats {
+        let (n, d) = x.shape();
+        let mut means = vec![vec![0.0; d]; n_classes];
+        let mut counts = vec![0usize; n_classes];
+        for r in 0..n {
+            let c = y[r] as usize;
+            counts[c] += 1;
+            kernels::add_assign(&mut means[c], x.row(r));
+        }
+        for (c, mean) in means.iter_mut().enumerate() {
+            if counts[c] > 0 {
+                for m in mean.iter_mut() {
+                    *m /= counts[c] as f64;
+                }
+            }
+        }
+        let mut scatters = vec![Matrix::zeros(d, d); n_classes];
+        let mut pooled = Matrix::zeros(d, d);
+        let mut diff = vec![0.0; d];
+        for r in 0..n {
+            let c = y[r] as usize;
+            for (dv, (&v, &m)) in diff.iter_mut().zip(x.row(r).iter().zip(&means[c])) {
+                *dv = v - m;
+            }
+            for i in 0..d {
+                let di = diff[i];
+                if di == 0.0 {
+                    continue;
+                }
+                kernels::axpy(&mut scatters[c].row_mut(i)[i..], di, &diff[i..]);
+                kernels::axpy(&mut pooled.row_mut(i)[i..], di, &diff[i..]);
+            }
+        }
+        for m in scatters.iter_mut().chain(std::iter::once(&mut pooled)) {
+            for i in 0..d {
+                for j in (i + 1)..d {
+                    m[(j, i)] = m[(i, j)];
+                }
+            }
+        }
+        ScatterStats { means, scatters, counts, pooled, n, d }
     }
 
-    /// `predict_proba` as it was before the scratch buffers: a fresh `diff`
-    /// and a fresh solve result per (row, class).
-    fn predict_proba_allocating(
+    /// A fit through the oracle encoder and scatter; `classes` is the
+    /// model's own covariance step.
+    pub(super) fn fit(
+        algorithm: &'static str,
+        classes: impl Fn(&ScatterStats) -> Result<Vec<Option<ClassGaussian>>, ClassifierError>,
+        data: &Dataset,
+        rows: &[usize],
+    ) -> Result<GaussianDiscriminant, ClassifierError> {
+        let n_classes = check_fit_preconditions(algorithm, data, rows, 4)?;
+        let (encoder, x) = encode::fit(data, rows, true);
+        let stats = scatter_stats(&x, &data.labels_for(rows), n_classes);
+        Ok(GaussianDiscriminant { encoder, classes: classes(&stats)? })
+    }
+
+    /// `predict_proba` one row at a time: a fresh `x-μ` and forward
+    /// substitution per (row, class).
+    pub(super) fn predict_proba(
         model: &GaussianDiscriminant,
         data: &Dataset,
         rows: &[usize],
     ) -> Vec<Vec<f64>> {
-        let x = model.encoder.encode(data, rows);
+        let x = encode::encode(&model.encoder, data, rows);
         (0..x.rows())
             .map(|r| {
                 let mut scores: Vec<f64> = model
@@ -314,8 +429,15 @@ mod tests {
                         Some(cg) => {
                             let diff: Vec<f64> =
                                 x.row(r).iter().zip(&cg.mean).map(|(a, b)| a - b).collect();
-                            let z =
-                                smartml_linalg::solve_lower_triangular(&cg.covariance.chol, &diff);
+                            let l = &*cg.covariance.chol;
+                            let mut z = vec![0.0; diff.len()];
+                            for i in 0..z.len() {
+                                let mut s = diff[i];
+                                for j in 0..i {
+                                    s -= l[(i, j)] * z[j];
+                                }
+                                z[i] = s / l[(i, i)];
+                            }
                             let maha: f64 = z.iter().map(|v| v * v).sum();
                             cg.log_prior - 0.5 * (maha + cg.covariance.log_det)
                         }
@@ -327,12 +449,96 @@ mod tests {
             })
             .collect()
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::algorithms::testdata::{bits, mixed, Shape};
+    use proptest::prelude::*;
+    use smartml_data::accuracy;
+    use smartml_data::synth::{gaussian_blobs, imbalanced_mixture};
+
+    fn holdout(clf: &dyn Classifier, d: &Dataset) -> f64 {
+        let (train, test): (Vec<usize>, Vec<usize>) = (0..d.n_rows()).partition(|i| i % 2 == 0);
+        let model = clf.fit(d, &train).unwrap();
+        accuracy(&d.labels_for(&test), &model.predict(d, &test))
+    }
+
+    /// LDA (moment and shrinkage) and RDA over a γ/λ grid, each fitted by
+    /// the kernels and by the oracles.
+    fn models(
+        shrink_tol: f64,
+        rda: (f64, f64),
+        data: &Dataset,
+        train: &[usize],
+    ) -> Vec<(Result<GaussianDiscriminant, ClassifierError>, Result<GaussianDiscriminant, ClassifierError>)>
+    {
+        let ldas = [Lda { shrinkage: false, tol: 1e-4 }, Lda { shrinkage: true, tol: shrink_tol }];
+        let rda = Rda { gamma: rda.0, lambda: rda.1 };
+        let mut out: Vec<_> = ldas
+            .iter()
+            .map(|lda| {
+                (lda.fit_gaussians(data, train), oracle::fit("LDA", |s| lda.classes(s), data, train))
+            })
+            .collect();
+        out.push((rda.fit_gaussians(data, train), oracle::fit("RDA", |s| rda.classes(s), data, train)));
+        out
+    }
+
+    /// Fitted means, factors, log-determinants and priors agree to the bit.
+    fn same_fit(a: &GaussianDiscriminant, b: &GaussianDiscriminant) -> bool {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        crate::algorithms::encode::oracle::same_stats(&a.encoder, &b.encoder)
+            && a.classes.len() == b.classes.len()
+            && a.classes.iter().zip(&b.classes).all(|(x, y)| match (x, y) {
+                (None, None) => true,
+                (Some(x), Some(y)) => {
+                    bits(&x.mean) == bits(&y.mean)
+                        && bits(x.covariance.chol.as_slice()) == bits(y.covariance.chol.as_slice())
+                        && x.covariance.log_det.to_bits() == y.covariance.log_det.to_bits()
+                        && x.log_prior.to_bits() == y.log_prior.to_bits()
+                }
+                _ => false,
+            })
+    }
+
+    proptest! {
+        #[test]
+        fn kernels_match_the_per_row_oracles(
+            (seed, rows, numeric) in (any::<u64>(), 12usize..120, 1usize..=90),
+            (categorical, classes, empty_class) in (any::<bool>(), 2usize..=5, any::<bool>()),
+            (shrink, gamma, lambda) in (0usize..3, 0usize..4, 0usize..4),
+        ) {
+            let shrink_tol = [0.05, 0.5, 1.0][shrink];
+            let grid = [0.0, 0.3, 0.7, 1.0];
+            let (gamma, lambda) = (grid[gamma], grid[lambda]);
+            let shape = Shape {
+                seed, rows, numeric, categorical: categorical && numeric <= 87, classes, empty_class,
+            };
+            let (data, train, test) = mixed(shape);
+            for (fast, slow) in models(shrink_tol, (gamma, lambda), &data, &train) {
+                let (fast, slow) = match (fast, slow) {
+                    (Ok(f), Ok(s)) => (f, s),
+                    (f, s) => {
+                        prop_assert_eq!(f.err(), s.err());
+                        continue;
+                    }
+                };
+                prop_assert!(same_fit(&fast, &slow), "{shape:?}");
+                for rows in [&test, &train[..train.len().min(9)]] {
+                    let expected = oracle::predict_proba(&slow, &data, rows);
+                    prop_assert_eq!(bits(&fast.predict_proba(&data, rows)), bits(&expected), "{shape:?}");
+                    let argmax: Vec<u32> =
+                        expected.iter().map(|p| vecops::argmax(p).unwrap_or(0) as u32).collect();
+                    prop_assert_eq!(fast.predict(&data, rows), argmax, "{shape:?}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn predict_proba_is_bit_identical_to_the_allocating_path() {
-        let bits = |p: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
-            p.into_iter().map(|row| row.into_iter().map(f64::to_bits).collect()).collect()
-        };
         for (d, held_out) in [
             (gaussian_blobs("b", 180, 7, 4, 1.3, 11), 1),
             (imbalanced_mixture("i", 200, 5, 3, 2.0, 12), 2),
@@ -347,8 +553,8 @@ mod tests {
             ];
             for model in &models {
                 assert_eq!(
-                    bits(model.predict_proba(&d, &test)),
-                    bits(predict_proba_allocating(model, &d, &test))
+                    bits(&model.predict_proba(&d, &test)),
+                    bits(&oracle::predict_proba(model, &d, &test))
                 );
             }
             // LDA's classes point at one factor; RDA's each own theirs.

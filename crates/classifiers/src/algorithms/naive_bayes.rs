@@ -28,16 +28,23 @@ impl NaiveBayes {
 }
 
 enum FeatureModel {
-    /// Per-class (mean, std).
-    Gaussian(Vec<(f64, f64)>),
+    /// Per-class Gaussian.
+    Gaussian(Vec<Gaussian>),
     /// Per-class log-probability per level (+1 slot for unseen levels).
     Categorical(Vec<Vec<f64>>),
+}
+
+/// One class's likelihood for one numeric feature.
+struct Gaussian {
+    mean: f64,
+    std: f64,
+    /// `std.ln()`, paid once at fit instead of per (row, class).
+    ln_std: f64,
 }
 
 struct TrainedNb {
     log_priors: Vec<f64>,
     features: Vec<FeatureModel>,
-    n_classes: usize,
 }
 
 impl Classifier for NaiveBayes {
@@ -46,6 +53,12 @@ impl Classifier for NaiveBayes {
     }
 
     fn fit(&self, data: &Dataset, rows: &[usize]) -> Result<Box<dyn TrainedModel>, ClassifierError> {
+        Ok(Box::new(self.fit_nb(data, rows)?))
+    }
+}
+
+impl NaiveBayes {
+    fn fit_nb(&self, data: &Dataset, rows: &[usize]) -> Result<TrainedNb, ClassifierError> {
         let n_classes = check_fit_preconditions("NaiveBayes", data, rows, 2)?;
         let counts = data.class_counts_for(rows);
         let total = rows.len() as f64;
@@ -53,26 +66,28 @@ impl Classifier for NaiveBayes {
             .iter()
             .map(|&c| ((c as f64 + 1.0) / (total + n_classes as f64)).ln())
             .collect();
-        // Pooled std floor prevents zero-variance spikes.
+        // Each class's rows in training order, bucketed in one pass.
+        let mut by_class: Vec<Vec<usize>> = counts.iter().map(|&c| Vec::with_capacity(c)).collect();
+        for &r in rows {
+            by_class[data.label(r) as usize].push(r);
+        }
+        let mut present = Vec::with_capacity(rows.len());
         let mut features = Vec::with_capacity(data.n_features());
         for feat in data.features() {
             match feat {
                 Feature::Numeric { values, .. } => {
-                    let pooled: Vec<f64> =
-                        rows.iter().map(|&r| values[r]).filter(|v| !v.is_nan()).collect();
-                    let floor = (vecops::std_dev(&pooled) * 1e-3).max(1e-9);
-                    let mut params = Vec::with_capacity(n_classes);
-                    for c in 0..n_classes {
-                        let xs: Vec<f64> = rows
-                            .iter()
-                            .filter(|&&r| data.label(r) as usize == c)
-                            .map(|&r| values[r])
-                            .filter(|v| !v.is_nan())
-                            .collect();
-                        let mean = vecops::mean(&xs);
-                        let std = (vecops::std_dev(&xs) * self.adjust).max(floor);
-                        params.push((mean, std));
-                    }
+                    // Pooled std floor prevents zero-variance spikes.
+                    gather_present(values, rows, &mut present);
+                    let floor = (vecops::std_dev(&present) * 1e-3).max(1e-9);
+                    let params = by_class
+                        .iter()
+                        .map(|class_rows| {
+                            gather_present(values, class_rows, &mut present);
+                            let mean = vecops::mean(&present);
+                            let std = (vecops::std_dev(&present) * self.adjust).max(floor);
+                            Gaussian { mean, std, ln_std: std.ln() }
+                        })
+                        .collect();
                     features.push(FeatureModel::Gaussian(params));
                 }
                 Feature::Categorical { codes, levels, .. } => {
@@ -96,25 +111,131 @@ impl Classifier for NaiveBayes {
                 }
             }
         }
-        Ok(Box::new(TrainedNb { log_priors, features, n_classes }))
+        Ok(TrainedNb { log_priors, features })
+    }
+}
+
+/// The non-missing `values` of `rows`, in row order, into `out`.
+fn gather_present(values: &[f64], rows: &[usize], out: &mut Vec<f64>) {
+    out.clear();
+    out.extend(rows.iter().map(|&r| values[r]).filter(|v| !v.is_nan()));
+}
+
+impl TrainedNb {
+    /// Hands each row's class probabilities to `visit`, in row order.
+    ///
+    /// Rows go through in blocks whose log-posteriors sit in one scratch
+    /// buffer; features are the outer loop, so a row's posterior still
+    /// adds its features' terms in feature order, as one row on its own.
+    fn for_each_proba(&self, data: &Dataset, rows: &[usize], mut visit: impl FnMut(&mut [f64])) {
+        const BLOCK: usize = 64;
+        let k = self.log_priors.len();
+        let mut scratch = vec![0.0; BLOCK * k];
+        for block in rows.chunks(BLOCK) {
+            let post = &mut scratch[..block.len() * k];
+            for row in post.chunks_exact_mut(k) {
+                row.copy_from_slice(&self.log_priors);
+            }
+            for (feat, model) in data.features().iter().zip(&self.features) {
+                match (feat, model) {
+                    (Feature::Numeric { values, .. }, FeatureModel::Gaussian(params)) => {
+                        for (&r, log_post) in block.iter().zip(post.chunks_exact_mut(k)) {
+                            let v = values[r];
+                            if v.is_nan() {
+                                continue; // missing feature: skip its likelihood
+                            }
+                            for (lp, g) in log_post.iter_mut().zip(params) {
+                                let z = (v - g.mean) / g.std;
+                                *lp += -0.5 * z * z - g.ln_std;
+                            }
+                        }
+                    }
+                    (Feature::Categorical { codes, .. }, FeatureModel::Categorical(table)) => {
+                        for (&r, log_post) in block.iter().zip(post.chunks_exact_mut(k)) {
+                            let code = codes[r];
+                            if code == MISSING_CODE {
+                                continue;
+                            }
+                            for (lp, class_row) in log_post.iter_mut().zip(table) {
+                                *lp += class_row[(code as usize).min(class_row.len() - 1)];
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            for log_post in post.chunks_exact_mut(k) {
+                vecops::softmax_inplace(log_post);
+                visit(log_post);
+            }
+        }
     }
 }
 
 impl TrainedModel for TrainedNb {
     fn predict_proba(&self, data: &Dataset, rows: &[usize]) -> Vec<Vec<f64>> {
+        let mut out = Vec::with_capacity(rows.len());
+        self.for_each_proba(data, rows, |p| out.push(p.to_vec()));
+        out
+    }
+
+    fn predict(&self, data: &Dataset, rows: &[usize]) -> Vec<u32> {
+        let mut out = Vec::with_capacity(rows.len());
+        self.for_each_proba(data, rows, |p| out.push(vecops::argmax(p).unwrap_or(0) as u32));
+        out
+    }
+}
+
+/// The per-row code the kernels replaced, kept to check them against.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// The numeric parameters as fit computed them, with one filtered pass
+    /// over the training rows per (feature, class); priors and categorical
+    /// tables are the fit's own (that code did not change).
+    pub(super) fn fit(nb: &NaiveBayes, data: &Dataset, rows: &[usize]) -> TrainedNb {
+        let n_classes = check_fit_preconditions("NaiveBayes", data, rows, 2).unwrap();
+        let mut model = nb.fit_nb(data, rows).unwrap();
+        for (feat, fitted) in data.features().iter().zip(&mut model.features) {
+            if let (Feature::Numeric { values, .. }, FeatureModel::Gaussian(params)) = (feat, fitted) {
+                let pooled: Vec<f64> =
+                    rows.iter().map(|&r| values[r]).filter(|v| !v.is_nan()).collect();
+                let floor = (vecops::std_dev(&pooled) * 1e-3).max(1e-9);
+                *params = (0..n_classes)
+                    .map(|c| {
+                        let xs: Vec<f64> = rows
+                            .iter()
+                            .filter(|&&r| data.label(r) as usize == c)
+                            .map(|&r| values[r])
+                            .filter(|v| !v.is_nan())
+                            .collect();
+                        let mean = vecops::mean(&xs);
+                        let std = (vecops::std_dev(&xs) * nb.adjust).max(floor);
+                        // Left unset: the oracle predict takes the log itself.
+                        Gaussian { mean, std, ln_std: f64::NAN }
+                    })
+                    .collect();
+            }
+        }
+        model
+    }
+
+    /// `predict_proba` one row at a time, `std.ln()` per (row, class).
+    pub(super) fn predict_proba(model: &TrainedNb, data: &Dataset, rows: &[usize]) -> Vec<Vec<f64>> {
         rows.iter()
             .map(|&r| {
-                let mut log_post = self.log_priors.clone();
-                for (feat, model) in data.features().iter().zip(&self.features) {
-                    match (feat, model) {
+                let mut log_post = model.log_priors.clone();
+                for (feat, fitted) in data.features().iter().zip(&model.features) {
+                    match (feat, fitted) {
                         (Feature::Numeric { values, .. }, FeatureModel::Gaussian(params)) => {
                             let v = values[r];
                             if v.is_nan() {
-                                continue; // missing feature: skip its likelihood
+                                continue;
                             }
-                            for (c, &(mean, std)) in params.iter().enumerate() {
-                                let z = (v - mean) / std;
-                                log_post[c] += -0.5 * z * z - std.ln();
+                            for (c, g) in params.iter().enumerate() {
+                                let z = (v - g.mean) / g.std;
+                                log_post[c] += -0.5 * z * z - g.std.ln();
                             }
                         }
                         (Feature::Categorical { codes, .. }, FeatureModel::Categorical(table)) => {
@@ -137,19 +258,57 @@ impl TrainedModel for TrainedNb {
     }
 }
 
-// Use the class count to silence dead-code when only proba is used.
-impl TrainedNb {
-    #[allow(dead_code)]
-    fn n_classes(&self) -> usize {
-        self.n_classes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithms::testdata::{bits, mixed, Shape};
+    use proptest::prelude::*;
     use smartml_data::synth::{categorical_mixture, gaussian_blobs, sparse_counts};
     use smartml_data::accuracy;
+
+    proptest! {
+        #[test]
+        fn kernels_match_the_per_row_oracles(
+            (seed, rows, numeric) in (any::<u64>(), 6usize..150, 1usize..=90),
+            (categorical, classes, empty_class) in (any::<bool>(), 2usize..=5, any::<bool>()),
+            (laplace, adjust) in (0usize..3, 0usize..3),
+        ) {
+            let (laplace, adjust) = ([0.0, 1.0, 3.5][laplace], [0.5, 1.0, 2.0][adjust]);
+            let shape = Shape {
+                seed, rows, numeric, categorical: categorical && numeric <= 87, classes, empty_class,
+            };
+            let (data, train, test) = mixed(shape);
+            let nb = NaiveBayes { laplace, adjust };
+            let fast = nb.fit_nb(&data, &train).unwrap();
+            let slow = oracle::fit(&nb, &data, &train);
+            prop_assert_eq!(
+                bits(std::slice::from_ref(&fast.log_priors)),
+                bits(std::slice::from_ref(&slow.log_priors))
+            );
+            for (a, b) in fast.features.iter().zip(&slow.features) {
+                match (a, b) {
+                    (FeatureModel::Gaussian(a), FeatureModel::Gaussian(b)) => {
+                        for (a, b) in a.iter().zip(b) {
+                            prop_assert_eq!(a.mean.to_bits(), b.mean.to_bits());
+                            prop_assert_eq!(a.std.to_bits(), b.std.to_bits());
+                            prop_assert_eq!(a.ln_std.to_bits(), b.std.ln().to_bits());
+                        }
+                    }
+                    (FeatureModel::Categorical(a), FeatureModel::Categorical(b)) => {
+                        prop_assert_eq!(bits(a), bits(b));
+                    }
+                    _ => prop_assert!(false, "feature kinds differ"),
+                }
+            }
+            for rows in [&test, &train[..train.len().min(9)]] {
+                let expected = oracle::predict_proba(&slow, &data, rows);
+                prop_assert_eq!(bits(&fast.predict_proba(&data, rows)), bits(&expected), "{shape:?}");
+                let argmax: Vec<u32> =
+                    expected.iter().map(|p| vecops::argmax(p).unwrap_or(0) as u32).collect();
+                prop_assert_eq!(fast.predict(&data, rows), argmax, "{shape:?}");
+            }
+        }
+    }
 
     fn holdout(clf: &dyn Classifier, d: &Dataset) -> f64 {
         let (train, test): (Vec<usize>, Vec<usize>) = (0..d.n_rows()).partition(|i| i % 2 == 0);

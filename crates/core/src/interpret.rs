@@ -56,11 +56,18 @@ pub fn permutation_importance_with(
     let mut result: Vec<FeatureImportance> = pool.map_indexed(
         data.features().iter().enumerate().collect(),
         |_, (idx, feat)| {
+            // One copy per feature: every repeat overwrites the cells of
+            // `rows` in column `idx` with its shuffle of the original column,
+            // so the copy holds exactly that one permutation each time.
+            let mut permuted = data.clone();
+            let mut shuffled = rows.to_vec();
             let mut drop_total = 0.0;
             for rep in 0..repeats {
                 let mut rng =
                     StdRng::seed_from_u64(task_seed(seed, (idx * repeats + rep) as u64));
-                let permuted = permute_feature(data, rows, idx, &mut rng);
+                shuffled.copy_from_slice(rows);
+                shuffled.shuffle(&mut rng);
+                permuted.copy_cells(idx, feat, rows, &shuffled);
                 let permuted_acc = accuracy(&truth, &model.predict(&permuted, rows));
                 drop_total += baseline - permuted_acc;
             }
@@ -160,44 +167,6 @@ fn neutralise_feature(
     data.with_features(features)
 }
 
-/// Copy of `data` with feature `idx` permuted **within `rows`** (other rows
-/// untouched, so absolute row indices keep working).
-fn permute_feature(data: &Dataset, rows: &[usize], idx: usize, rng: &mut StdRng) -> Dataset {
-    let mut shuffled = rows.to_vec();
-    shuffled.shuffle(rng);
-    let features = data
-        .features()
-        .iter()
-        .enumerate()
-        .map(|(i, feat)| {
-            if i != idx {
-                return feat.clone();
-            }
-            match feat {
-                Feature::Numeric { name, values } => {
-                    let mut new_values = values.clone();
-                    for (&dst, &src) in rows.iter().zip(&shuffled) {
-                        new_values[dst] = values[src];
-                    }
-                    Feature::Numeric { name: name.clone(), values: new_values }
-                }
-                Feature::Categorical { name, codes, levels } => {
-                    let mut new_codes = codes.clone();
-                    for (&dst, &src) in rows.iter().zip(&shuffled) {
-                        new_codes[dst] = codes[src];
-                    }
-                    Feature::Categorical {
-                        name: name.clone(),
-                        codes: new_codes,
-                        levels: levels.clone(),
-                    }
-                }
-            }
-        })
-        .collect();
-    data.with_features(features)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,6 +252,79 @@ mod tests {
             a.iter().map(|f| (f.feature.clone(), f.importance)).collect::<Vec<_>>(),
             b.iter().map(|f| (f.feature.clone(), f.importance)).collect::<Vec<_>>()
         );
+    }
+
+    /// Permutation importance as it was: a fresh copy of the whole dataset
+    /// per (feature, repeat).
+    fn importances_copy_per_repeat(
+        model: &dyn TrainedModel,
+        data: &Dataset,
+        rows: &[usize],
+        repeats: usize,
+        seed: u64,
+    ) -> Vec<f64> {
+        let truth = data.labels_for(rows);
+        let baseline = accuracy(&truth, &model.predict(data, rows));
+        (0..data.n_features())
+            .map(|idx| {
+                let mut drop_total = 0.0;
+                for rep in 0..repeats {
+                    let mut rng =
+                        StdRng::seed_from_u64(task_seed(seed, (idx * repeats + rep) as u64));
+                    let mut shuffled = rows.to_vec();
+                    shuffled.shuffle(&mut rng);
+                    let features = data
+                        .features()
+                        .iter()
+                        .enumerate()
+                        .map(|(i, feat)| match feat {
+                            Feature::Numeric { name, values } if i == idx => {
+                                let mut new_values = values.clone();
+                                for (&dst, &src) in rows.iter().zip(&shuffled) {
+                                    new_values[dst] = values[src];
+                                }
+                                Feature::Numeric { name: name.clone(), values: new_values }
+                            }
+                            Feature::Categorical { name, codes, levels } if i == idx => {
+                                let mut new_codes = codes.clone();
+                                for (&dst, &src) in rows.iter().zip(&shuffled) {
+                                    new_codes[dst] = codes[src];
+                                }
+                                Feature::Categorical {
+                                    name: name.clone(),
+                                    codes: new_codes,
+                                    levels: levels.clone(),
+                                }
+                            }
+                            other => other.clone(),
+                        })
+                        .collect();
+                    let permuted = data.with_features(features);
+                    drop_total += baseline - accuracy(&truth, &model.predict(&permuted, rows));
+                }
+                drop_total / repeats as f64
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_copy_per_feature_gives_the_copy_per_repeat_importances() {
+        let d = smartml_data::synth::categorical_mixture("c", 240, 3, 3, 3, 4, 5);
+        // A held-out subset, out of order and with a repeated row.
+        let mut rows: Vec<usize> = (0..d.n_rows()).rev().filter(|r| r % 3 == 0).collect();
+        rows.push(rows[4]);
+        let train: Vec<usize> = (0..d.n_rows()).filter(|r| r % 3 != 0).collect();
+        for alg in [Algorithm::Lda, Algorithm::NaiveBayes, Algorithm::Rpart] {
+            let model = alg.build(&ParamConfig::default()).fit(&d, &train).unwrap();
+            let mut expected = importances_copy_per_repeat(model.as_ref(), &d, &rows, 3, 17);
+            let got = permutation_importance(model.as_ref(), &d, &rows, 3, 17);
+            // `got` is sorted; compare by feature name.
+            for fi in &got {
+                let idx = d.features().iter().position(|f| f.name() == fi.feature).unwrap();
+                assert_eq!(fi.importance.to_bits(), expected[idx].to_bits(), "{alg} {}", fi.feature);
+                expected[idx] = f64::NAN;
+            }
+        }
     }
 
     #[test]

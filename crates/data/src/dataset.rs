@@ -313,6 +313,30 @@ impl Dataset {
         }
     }
 
+    /// Sets cell `rows[i]` of column `idx` to cell `from[i]` of `source`,
+    /// for each `i` in order: how a permutation test writes a shuffled copy
+    /// of a column within `rows`. The column keeps its length and type.
+    ///
+    /// # Panics
+    /// Panics if `source` is not the same kind of column as column `idx`
+    /// or `rows` and `from` differ in length.
+    pub fn copy_cells(&mut self, idx: usize, source: &Feature, rows: &[usize], from: &[usize]) {
+        assert_eq!(rows.len(), from.len(), "copy_cells: rows and from differ in length");
+        match (&mut self.features[idx], source) {
+            (Feature::Numeric { values, .. }, Feature::Numeric { values: src, .. }) => {
+                for (&dst, &s) in rows.iter().zip(from) {
+                    values[dst] = src[s];
+                }
+            }
+            (Feature::Categorical { codes, .. }, Feature::Categorical { codes: src, .. }) => {
+                for (&dst, &s) in rows.iter().zip(from) {
+                    codes[dst] = src[s];
+                }
+            }
+            _ => panic!("copy_cells: column {idx} and its source are different kinds"),
+        }
+    }
+
     /// All row indices, `0..n_rows`.
     pub fn all_rows(&self) -> Vec<usize> {
         (0..self.n_rows()).collect()

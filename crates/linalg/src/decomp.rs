@@ -139,26 +139,41 @@ pub fn cholesky(a: &Matrix) -> Result<Matrix, LinalgError> {
     Ok(l)
 }
 
-/// Solves `L x = b` where `L` is lower triangular with nonzero diagonal.
-pub fn solve_lower_triangular(l: &Matrix, b: &[f64]) -> Vec<f64> {
-    let mut x = vec![0.0; b.len()];
-    solve_lower_triangular_into(l, b, &mut x);
-    x
-}
+/// Right-hand sides one [`solve_lower_triangular_block`] call solves.
+pub const SOLVE_BLOCK: usize = 8;
 
-/// [`solve_lower_triangular`] into the caller's buffer, for solves in a
-/// loop: same operations in the same order, no allocation.
-pub fn solve_lower_triangular_into(l: &Matrix, b: &[f64], x: &mut [f64]) {
+/// Solves `L x_r = b_r`, `L` lower triangular with nonzero diagonal, for
+/// [`SOLVE_BLOCK`] right-hand sides at once, stored interleaved: element
+/// `i` of right-hand side `r` is `b[i * SOLVE_BLOCK + r]`, and `x` is laid
+/// out the same way.
+///
+/// Each right-hand side goes through the operations of a one-at-a-time
+/// forward substitution (`x_i = (b_i - Σ_{j<i} l_ij x_j) / l_ii`, the sum
+/// subtracted term by term in `j` order), so every solution is
+/// bit-identical to its own solve; the block only runs the independent
+/// recurrences side by side, one row of `L` read per step.
+/// Unused lanes of a partial block may hold anything finite or not — they
+/// never mix with the others.
+pub fn solve_lower_triangular_block(l: &Matrix, b: &[f64], x: &mut [f64]) {
+    const B: usize = SOLVE_BLOCK;
     let n = l.rows();
     assert_eq!(l.cols(), n);
-    assert_eq!(b.len(), n);
-    assert_eq!(x.len(), n);
+    assert_eq!(b.len(), n * B);
+    assert_eq!(x.len(), n * B);
     for i in 0..n {
-        let mut s = b[i];
-        for j in 0..i {
-            s -= l[(i, j)] * x[j];
+        let li = l.row(i);
+        let (solved, rest) = x.split_at_mut(i * B);
+        let mut s = [0.0; B];
+        s.copy_from_slice(&b[i * B..(i + 1) * B]);
+        for (&lij, xj) in li[..i].iter().zip(solved.chunks_exact(B)) {
+            for (sr, &xr) in s.iter_mut().zip(xj) {
+                *sr -= lij * xr;
+            }
         }
-        x[i] = s / l[(i, i)];
+        let lii = li[i];
+        for (xr, &sr) in rest[..B].iter_mut().zip(&s) {
+            *xr = sr / lii;
+        }
     }
 }
 
@@ -289,12 +304,65 @@ mod tests {
         assert!(matches!(cholesky(&a), Err(LinalgError::NotPositiveDefinite(_))));
     }
 
+    /// One right-hand side at a time: the reference the block must match.
+    fn solve_lower_triangular(l: &Matrix, b: &[f64]) -> Vec<f64> {
+        let n = l.rows();
+        let mut x = vec![0.0; n];
+        for i in 0..n {
+            let mut s = b[i];
+            for j in 0..i {
+                s -= l[(i, j)] * x[j];
+            }
+            x[i] = s / l[(i, i)];
+        }
+        x
+    }
+
     #[test]
     fn lower_triangular_solve() {
+        // Every lane solves [[2, 0], [1, 3]] x = (4, 11).
         let l = Matrix::from_rows(&[vec![2.0, 0.0], vec![1.0, 3.0]]);
-        let x = solve_lower_triangular(&l, &[4.0, 11.0]);
-        assert_close(x[0], 2.0, 1e-12);
-        assert_close(x[1], 3.0, 1e-12);
+        let b: Vec<f64> = [4.0, 11.0].iter().flat_map(|&v| [v; SOLVE_BLOCK]).collect();
+        let mut x = vec![0.0; 2 * SOLVE_BLOCK];
+        solve_lower_triangular_block(&l, &b, &mut x);
+        for r in 0..SOLVE_BLOCK {
+            assert_close(x[r], 2.0, 1e-12);
+            assert_close(x[SOLVE_BLOCK + r], 3.0, 1e-12);
+        }
+    }
+
+    #[test]
+    fn block_solve_is_bit_identical_to_one_at_a_time() {
+        // A well-conditioned 11x11 lower factor and eight right-hand sides
+        // of mixed scale; one lane carries a NaN that must stay in its lane.
+        let n = 11;
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..i {
+                l[(i, j)] = ((i * 7 + j * 3) % 5) as f64 * 0.37 - 0.6;
+            }
+            l[(i, i)] = 1.5 + i as f64 * 0.11;
+        }
+        let mut rhs: Vec<Vec<f64>> = (0..SOLVE_BLOCK)
+            .map(|r| {
+                let scale = [1.0, 3e-4, 9e-8][r % 3];
+                (0..n).map(|i| ((r * 13 + i * 5) % 17) as f64 * scale - 1.1).collect()
+            })
+            .collect();
+        rhs[5][4] = f64::NAN;
+        let mut b = vec![0.0; n * SOLVE_BLOCK];
+        for (r, v) in rhs.iter().enumerate() {
+            for (i, &bi) in v.iter().enumerate() {
+                b[i * SOLVE_BLOCK + r] = bi;
+            }
+        }
+        let mut x = vec![0.0; n * SOLVE_BLOCK];
+        solve_lower_triangular_block(&l, &b, &mut x);
+        for (r, v) in rhs.iter().enumerate() {
+            for (i, xi) in solve_lower_triangular(&l, v).iter().enumerate() {
+                assert_eq!(xi.to_bits(), x[i * SOLVE_BLOCK + r].to_bits(), "rhs {r} elem {i}");
+            }
+        }
     }
 
     #[test]

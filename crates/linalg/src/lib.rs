@@ -19,8 +19,7 @@ mod stats;
 pub mod vecops;
 
 pub use decomp::{
-    cholesky, eigh, lu_decompose, solve, solve_lower_triangular, solve_lower_triangular_into,
-    LinalgError,
+    cholesky, eigh, lu_decompose, solve, solve_lower_triangular_block, LinalgError, SOLVE_BLOCK,
 };
 pub use matrix::Matrix;
 pub use stats::{column_means, covariance_matrix, pearson_correlation};

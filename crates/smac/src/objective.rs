@@ -127,12 +127,18 @@ impl ClassifierObjective {
         seed: u64,
     ) -> Self {
         let fold_sets = stratified_kfold(&data, rows, k.max(2), seed);
+        // Row-membership mask of the current fold, cleared after each use.
+        let mut in_valid = vec![false; data.n_rows()];
         let folds = fold_sets
             .into_iter()
             .map(|valid| {
-                let valid_set: std::collections::HashSet<usize> = valid.iter().copied().collect();
-                let train: Vec<usize> =
-                    rows.iter().copied().filter(|r| !valid_set.contains(r)).collect();
+                for &r in &valid {
+                    in_valid[r] = true;
+                }
+                let train: Vec<usize> = rows.iter().copied().filter(|&r| !in_valid[r]).collect();
+                for &r in &valid {
+                    in_valid[r] = false;
+                }
                 (train, valid)
             })
             .collect();

@@ -15,6 +15,9 @@ echo "==> ingest: CSV reader against its row-major oracle, parser fuzz, allocati
 PROPTEST_CASES=2048 cargo test -q --offline --release -p smartml-data --lib io::
 PROPTEST_CASES=2048 cargo test -q --offline --release -p smartml-data --test parser_fuzz --test parser_alloc
 
+echo "==> classifiers: LDA/RDA/NaiveBayes and encoder kernels against their per-row oracles (release, 2048 cases)"
+PROPTEST_CASES=2048 cargo test -q --offline --release -p smartml-classifiers --lib algorithms::
+
 echo "==> benchmark harness: compiles against the current crates; smoke pass exits clean"
 # benchmark/ is a workspace of its own, so tier-1 does not build it: this is
 # where a public-API change that breaks it shows up. Exit status only.
