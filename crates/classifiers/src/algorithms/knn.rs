@@ -23,9 +23,6 @@ impl Knn {
 struct TrainedKnn {
     encoder: DenseEncoder,
     x: Matrix,
-    /// Flattened f32 copy of `x`, present when the opt-in reduced-precision
-    /// distance path was enabled at fit time ([`kernels::set_f32_kernels`]).
-    xf: Option<Vec<f32>>,
     y: Vec<u32>,
     k: usize,
     n_classes: usize,
@@ -39,11 +36,9 @@ impl Classifier for Knn {
     fn fit(&self, data: &Dataset, rows: &[usize]) -> Result<Box<dyn TrainedModel>, ClassifierError> {
         let n_classes = check_fit_preconditions("KNN", data, rows, 2)?;
         let (encoder, x) = DenseEncoder::fit(data, rows, true);
-        let xf = kernels::use_f32_path().then(|| kernels::to_f32(x.as_slice()));
         Ok(Box::new(TrainedKnn {
             encoder,
             x,
-            xf,
             y: data.labels_for(rows),
             k: self.k.min(rows.len()),
             n_classes,
@@ -55,26 +50,15 @@ impl TrainedModel for TrainedKnn {
     fn predict_proba(&self, data: &Dataset, rows: &[usize]) -> Vec<Vec<f64>> {
         let xq = self.encoder.encode(data, rows);
         let n_train = self.x.rows();
-        let d = self.x.cols();
         let mut out = Vec::with_capacity(rows.len());
         // (distance², train index) pairs, partially selected per query.
         let mut dists: Vec<(f64, usize)> = Vec::with_capacity(n_train);
-        let mut qf32: Vec<f32> = Vec::new();
         for q in 0..xq.rows() {
             dists.clear();
             let qrow = xq.row(q);
-            if let Some(xf) = &self.xf {
-                qf32.clear();
-                qf32.extend(qrow.iter().map(|&v| v as f32));
-                for t in 0..n_train {
-                    let d2 = kernels::squared_distance_f32(&qf32, &xf[t * d..(t + 1) * d]);
-                    dists.push((d2, t));
-                }
-            } else {
-                for t in 0..n_train {
-                    let d2 = kernels::squared_distance(qrow, self.x.row(t));
-                    dists.push((d2, t));
-                }
+            for t in 0..n_train {
+                let d2 = kernels::squared_distance(qrow, self.x.row(t));
+                dists.push((d2, t));
             }
             let k = self.k.min(dists.len());
             dists.select_nth_unstable_by(k - 1, |a, b| a.0.partial_cmp(&b.0).unwrap());

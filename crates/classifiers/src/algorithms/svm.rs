@@ -71,20 +71,6 @@ impl Svm {
             Kernel::Sigmoid => (self.gamma * kernels::dot(a, b) + self.coef0).tanh(),
         }
     }
-
-    /// [`kernel_eval`](Svm::kernel_eval) over f32-stored rows — the opt-in
-    /// reduced-precision kernel-matrix path (f32 lanes, f64 accumulators;
-    /// see `smartml_linalg::kernels` for the documented error bound).
-    fn kernel_eval_f32(&self, a: &[f32], b: &[f32]) -> f64 {
-        match self.kernel {
-            Kernel::Linear => kernels::dot_f32(a, b),
-            Kernel::Radial => (-self.gamma * kernels::squared_distance_f32(a, b)).exp(),
-            Kernel::Polynomial => {
-                (self.gamma * kernels::dot_f32(a, b) + self.coef0).powi(self.degree as i32)
-            }
-            Kernel::Sigmoid => (self.gamma * kernels::dot_f32(a, b) + self.coef0).tanh(),
-        }
-    }
 }
 
 /// One trained binary subproblem (classes `pos` vs `neg`).
@@ -220,31 +206,15 @@ fn pair_seed(pos: u32, neg: u32) -> u64 {
 
 /// The symmetric kernel sub-matrix over the rows `sub` of `x`, row-major
 /// (n ≤ a few hundred in this workspace). The O(n²·d) build dominates
-/// small-trial cost, so it honours the opt-in f32 path: rows are rounded
-/// once, kernels run on f32 lanes with f64 accumulators.
+/// small-trial cost.
 fn kernel_matrix(params: &Svm, x: &Matrix, sub: &[usize]) -> Vec<f64> {
     let n = sub.len();
     let mut kmat = vec![0.0f64; n * n];
-    if kernels::use_f32_path() {
-        let d = x.cols();
-        let mut subx: Vec<f32> = Vec::with_capacity(n * d);
-        for &r in sub {
-            subx.extend(x.row(r).iter().map(|&v| v as f32));
-        }
-        for i in 0..n {
-            for j in i..n {
-                let v = params.kernel_eval_f32(&subx[i * d..(i + 1) * d], &subx[j * d..(j + 1) * d]);
-                kmat[i * n + j] = v;
-                kmat[j * n + i] = v;
-            }
-        }
-    } else {
-        for i in 0..n {
-            for j in i..n {
-                let v = params.kernel_eval(x.row(sub[i]), x.row(sub[j]));
-                kmat[i * n + j] = v;
-                kmat[j * n + i] = v;
-            }
+    for i in 0..n {
+        for j in i..n {
+            let v = params.kernel_eval(x.row(sub[i]), x.row(sub[j]));
+            kmat[i * n + j] = v;
+            kmat[j * n + i] = v;
         }
     }
     kmat

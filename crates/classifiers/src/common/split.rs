@@ -27,7 +27,6 @@
 //! into the finished tree.
 
 use smartml_data::{Dataset, Feature};
-use smartml_linalg::kernels;
 use smartml_obs::Counter;
 use smartml_runtime::Pool;
 
@@ -507,16 +506,9 @@ fn bin_column(values: &[f64], rows: &[usize], max_bins: usize) -> BinnedCol {
 /// Builds one node's weighted `bin × class` histogram from per-slot bin
 /// codes, returning the number of rows with a present (non-missing) value.
 ///
-/// `hist` is resized to `(MAX_BINS + 1) * k` and `totals` to
-/// `MAX_BINS + 1`: the extra lane at index [`NAN_BIN`] is a *trash bin*
-/// that absorbs missing rows, which keeps the row loop free of the
-/// missing-value branch (data bin codes never exceed `MAX_BINS - 1`, so
-/// the lane never aliases real data). Present rows scatter into exactly
-/// the cells, in exactly the row order, of the branch-skipping
-/// [`fill_histogram_scalar`] oracle — the two are bit-identical on lanes
-/// `0..MAX_BINS` — and the oracle remains selectable process-wide via
-/// [`kernels::set_scalar_kernels`].
-#[allow(clippy::too_many_arguments)]
+/// `hist` is resized to `MAX_BINS * k` and `totals` to `MAX_BINS`. A
+/// missing row ([`NAN_BIN`]) is skipped; a present row adds its weight to
+/// its bin's cell and total, in row order.
 pub fn fill_histogram(
     rows: &[u32],
     slot_codes: &[u8],
@@ -527,43 +519,10 @@ pub fn fill_histogram(
     totals: &mut Vec<f64>,
 ) -> usize {
     HIST_BUILDS.inc();
-    if kernels::scalar_kernels() {
-        return fill_histogram_scalar(rows, slot_codes, slot_labels, slot_weights, k, hist, totals);
-    }
     hist.clear();
-    hist.resize((MAX_BINS + 1) * k, 0.0);
+    hist.resize(MAX_BINS * k, 0.0);
     totals.clear();
-    totals.resize(MAX_BINS + 1, 0.0);
-    let mut missing = 0usize;
-    for &s in rows {
-        let s = s as usize;
-        let b = slot_codes[s] as usize;
-        let w = slot_weights[s];
-        hist[b * k + slot_labels[s] as usize] += w;
-        totals[b] += w;
-        missing += usize::from(b == NAN_BIN as usize);
-    }
-    rows.len() - missing
-}
-
-/// Retained pre-kernel-layer histogram build: branch on [`NAN_BIN`] per
-/// row, touch only real bins. The scalar oracle for [`fill_histogram`]
-/// and the `simd_kernels` bench baseline.
-#[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
-pub fn fill_histogram_scalar(
-    rows: &[u32],
-    slot_codes: &[u8],
-    slot_labels: &[u32],
-    slot_weights: &[f64],
-    k: usize,
-    hist: &mut Vec<f64>,
-    totals: &mut Vec<f64>,
-) -> usize {
-    hist.clear();
-    hist.resize((MAX_BINS + 1) * k, 0.0);
-    totals.clear();
-    totals.resize(MAX_BINS + 1, 0.0);
+    totals.resize(MAX_BINS, 0.0);
     let mut n_present = 0usize;
     for &s in rows {
         let s = s as usize;
@@ -721,11 +680,39 @@ mod tests {
         assert_eq!(col.codes, vec![0, 1, 0, NAN_BIN, 1, 2]);
     }
 
+    /// The trash-bin build [`fill_histogram`] replaced: every row scatters
+    /// into `MAX_BINS + 1` lanes, missing rows into the extra lane at
+    /// [`NAN_BIN`], with no branch in the row loop.
+    fn fill_histogram_trash_bin(
+        rows: &[u32],
+        slot_codes: &[u8],
+        slot_labels: &[u32],
+        slot_weights: &[f64],
+        k: usize,
+        hist: &mut Vec<f64>,
+        totals: &mut Vec<f64>,
+    ) -> usize {
+        hist.clear();
+        hist.resize((MAX_BINS + 1) * k, 0.0);
+        totals.clear();
+        totals.resize(MAX_BINS + 1, 0.0);
+        let mut missing = 0usize;
+        for &s in rows {
+            let s = s as usize;
+            let b = slot_codes[s] as usize;
+            let w = slot_weights[s];
+            hist[b * k + slot_labels[s] as usize] += w;
+            totals[b] += w;
+            missing += usize::from(b == NAN_BIN as usize);
+        }
+        rows.len() - missing
+    }
+
     #[test]
-    fn fill_histogram_bit_identical_to_scalar_oracle() {
+    fn fill_histogram_bit_identical_to_trash_bin_oracle() {
         // Deterministic slot table with ~1/7 missing rows and uneven
-        // weights; the trash-bin build must agree with the branch-skip
-        // oracle bit-for-bit on every real lane and on n_present.
+        // weights; the branch-skipping build must agree with the trash-bin
+        // build bit-for-bit on every real lane and on n_present.
         let n_slots = 613usize;
         let k = 4usize;
         let slot_codes: Vec<u8> = (0..n_slots)
@@ -735,33 +722,21 @@ mod tests {
         let slot_weights: Vec<f64> = (0..n_slots).map(|s| 0.25 + ((s * 29) % 17) as f64 / 8.0).collect();
         // A node that sees a permuted subset of the slots.
         let rows: Vec<u32> = (0..n_slots as u32).filter(|s| s % 3 != 1).map(|s| (s * 7) % n_slots as u32).collect();
-        let (mut hist_f, mut tot_f) = (Vec::new(), Vec::new());
-        let (mut hist_s, mut tot_s) = (Vec::new(), Vec::new());
-        let np_fast =
-            fill_histogram(&rows, &slot_codes, &slot_labels, &slot_weights, k, &mut hist_f, &mut tot_f);
-        let np_slow = fill_histogram_scalar(
-            &rows, &slot_codes, &slot_labels, &slot_weights, k, &mut hist_s, &mut tot_s,
+        let (mut hist, mut tot) = (Vec::new(), Vec::new());
+        let (mut hist_t, mut tot_t) = (Vec::new(), Vec::new());
+        let np = fill_histogram(&rows, &slot_codes, &slot_labels, &slot_weights, k, &mut hist, &mut tot);
+        let np_t = fill_histogram_trash_bin(
+            &rows, &slot_codes, &slot_labels, &slot_weights, k, &mut hist_t, &mut tot_t,
         );
-        assert_eq!(np_fast, np_slow);
-        // Real lanes 0..MAX_BINS are bit-identical; lane NAN_BIN is the
-        // fast path's trash bin and intentionally differs.
+        assert_eq!(np, np_t);
+        assert_eq!((hist.len(), tot.len()), (MAX_BINS * k, MAX_BINS));
         for b in 0..MAX_BINS {
             for c in 0..k {
-                assert_eq!(
-                    hist_f[b * k + c].to_bits(),
-                    hist_s[b * k + c].to_bits(),
-                    "hist bin {b} class {c}"
-                );
+                let (got, want) = (hist[b * k + c], hist_t[b * k + c]);
+                assert_eq!(got.to_bits(), want.to_bits(), "hist bin {b} class {c}");
             }
-            assert_eq!(tot_f[b].to_bits(), tot_s[b].to_bits(), "totals bin {b}");
+            assert_eq!(tot[b].to_bits(), tot_t[b].to_bits(), "totals bin {b}");
         }
-        // Scalar-knob dispatch routes through the oracle.
-        kernels::set_scalar_kernels(true);
-        let np_knob =
-            fill_histogram(&rows, &slot_codes, &slot_labels, &slot_weights, k, &mut hist_f, &mut tot_f);
-        kernels::set_scalar_kernels(false);
-        assert_eq!(np_knob, np_slow);
-        assert_eq!(hist_f[NAN_BIN as usize * k..], hist_s[NAN_BIN as usize * k..]);
     }
 
     #[test]

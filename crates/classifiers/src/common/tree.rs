@@ -1144,8 +1144,7 @@ impl<'a> Grower<'a> {
             return None;
         }
         let k = self.n_classes;
-        // Branch-light vectorized build (trash-bin lane for missing rows);
-        // bit-identical on the real bins to the retained scalar builder.
+        // Missing rows are skipped and land in no bin.
         let n_present = crate::common::split::fill_histogram(
             rows,
             slot_codes,

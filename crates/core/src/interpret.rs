@@ -98,13 +98,17 @@ pub fn explain_prediction(
     let base_proba = model.predict_proba(data, &[row]);
     let chosen = smartml_linalg::vecops::argmax(&base_proba[0]).unwrap_or(0);
     let base_p = base_proba[0][chosen];
+    // One working copy per call: each feature overwrites the explained
+    // row's cell with its neutral value and restores it from `data`.
+    let mut working = data.clone();
     let mut contributions: Vec<FeatureImportance> = data
         .features()
         .iter()
         .enumerate()
         .map(|(idx, feat)| {
-            let neutralised = neutralise_feature(data, row, idx, background_rows);
-            let p = model.predict_proba(&neutralised, &[row])[0][chosen];
+            working.copy_cells(idx, &neutral_cell(feat, background_rows), &[row], &[0]);
+            let p = model.predict_proba(&working, &[row])[0][chosen];
+            working.copy_cells(idx, feat, &[row], &[row]);
             FeatureImportance { feature: feat.name().to_string(), importance: base_p - p }
         })
         .collect();
@@ -112,59 +116,33 @@ pub fn explain_prediction(
     contributions
 }
 
-/// Copy of `data` with feature `idx` of `row` replaced by the background
-/// mean/mode.
-fn neutralise_feature(
-    data: &Dataset,
-    row: usize,
-    idx: usize,
-    background_rows: &[usize],
-) -> Dataset {
-    use smartml_linalg::vecops;
-    let features = data
-        .features()
-        .iter()
-        .enumerate()
-        .map(|(i, feat)| {
-            if i != idx {
-                return feat.clone();
+/// A one-cell column of `feat`'s kind holding its neutral value over
+/// `background_rows`: the mean of the present values for a numeric, the
+/// modal level for a categorical. Only the cell is read, so it carries no
+/// name or levels.
+fn neutral_cell(feat: &Feature, background_rows: &[usize]) -> Feature {
+    match feat {
+        Feature::Numeric { values, .. } => {
+            let background: Vec<f64> =
+                background_rows.iter().map(|&r| values[r]).filter(|v| !v.is_nan()).collect();
+            Feature::Numeric {
+                name: String::new(),
+                values: vec![smartml_linalg::vecops::mean(&background)],
             }
-            match feat {
-                Feature::Numeric { name, values } => {
-                    let background: Vec<f64> = background_rows
-                        .iter()
-                        .map(|&r| values[r])
-                        .filter(|v| !v.is_nan())
-                        .collect();
-                    let mut new_values = values.clone();
-                    new_values[row] = vecops::mean(&background);
-                    Feature::Numeric { name: name.clone(), values: new_values }
-                }
-                Feature::Categorical { name, codes, levels } => {
-                    let mut counts = vec![0usize; levels.len()];
-                    for &r in background_rows {
-                        let c = codes[r];
-                        if c != smartml_data::dataset::MISSING_CODE {
-                            counts[c as usize] += 1;
-                        }
-                    }
-                    let mode = counts
-                        .iter()
-                        .enumerate()
-                        .max_by_key(|(_, &c)| c)
-                        .map_or(0, |(i, _)| i as u32);
-                    let mut new_codes = codes.clone();
-                    new_codes[row] = mode;
-                    Feature::Categorical {
-                        name: name.clone(),
-                        codes: new_codes,
-                        levels: levels.clone(),
-                    }
+        }
+        Feature::Categorical { codes, levels, .. } => {
+            let mut counts = vec![0usize; levels.len()];
+            for &r in background_rows {
+                let c = codes[r];
+                if c != smartml_data::dataset::MISSING_CODE {
+                    counts[c as usize] += 1;
                 }
             }
-        })
-        .collect();
-    data.with_features(features)
+            let mode =
+                counts.iter().enumerate().max_by_key(|(_, &c)| c).map_or(0, |(i, _)| i as u32);
+            Feature::Categorical { name: String::new(), codes: vec![mode], levels: Vec::new() }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -204,6 +182,85 @@ mod tests {
         }
     }
 
+    /// Explanation as it was: a fresh copy of the whole dataset per
+    /// feature, with the explained row's cell replaced.
+    fn explanation_copy_per_feature(
+        model: &dyn TrainedModel,
+        data: &Dataset,
+        row: usize,
+        background_rows: &[usize],
+    ) -> Vec<FeatureImportance> {
+        let base_proba = model.predict_proba(data, &[row]);
+        let chosen = smartml_linalg::vecops::argmax(&base_proba[0]).unwrap_or(0);
+        let mut out: Vec<FeatureImportance> = (0..data.n_features())
+            .map(|idx| {
+                let features = data
+                    .features()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, feat)| match feat {
+                        Feature::Numeric { name, values } if i == idx => {
+                            let background: Vec<f64> = background_rows
+                                .iter()
+                                .map(|&r| values[r])
+                                .filter(|v| !v.is_nan())
+                                .collect();
+                            let mut new_values = values.clone();
+                            new_values[row] = smartml_linalg::vecops::mean(&background);
+                            Feature::Numeric { name: name.clone(), values: new_values }
+                        }
+                        Feature::Categorical { name, codes, levels } if i == idx => {
+                            let mut counts = vec![0usize; levels.len()];
+                            for &r in background_rows {
+                                if codes[r] != smartml_data::dataset::MISSING_CODE {
+                                    counts[codes[r] as usize] += 1;
+                                }
+                            }
+                            let mode = counts
+                                .iter()
+                                .enumerate()
+                                .max_by_key(|(_, &c)| c)
+                                .map_or(0, |(i, _)| i as u32);
+                            let mut new_codes = codes.clone();
+                            new_codes[row] = mode;
+                            Feature::Categorical {
+                                name: name.clone(),
+                                codes: new_codes,
+                                levels: levels.clone(),
+                            }
+                        }
+                        other => other.clone(),
+                    })
+                    .collect();
+                let p = model.predict_proba(&data.with_features(features), &[row])[0][chosen];
+                FeatureImportance {
+                    feature: data.features()[idx].name().to_string(),
+                    importance: base_proba[0][chosen] - p,
+                }
+            })
+            .collect();
+        out.sort_by(|a, b| b.importance.abs().partial_cmp(&a.importance.abs()).unwrap());
+        out
+    }
+
+    /// `explain_prediction` equals the copy-per-feature explanation bit for
+    /// bit: a missed restore would leak one feature's neutral value into the
+    /// next feature's prediction.
+    fn assert_matches_copy_per_feature(
+        model: &dyn TrainedModel,
+        data: &Dataset,
+        row: usize,
+        background_rows: &[usize],
+    ) -> Vec<FeatureImportance> {
+        let got = explain_prediction(model, data, row, background_rows);
+        let want = explanation_copy_per_feature(model, data, row, background_rows);
+        let bits = |v: &[FeatureImportance]| {
+            v.iter().map(|f| (f.feature.clone(), f.importance.to_bits())).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&got), bits(&want), "row {row}");
+        got
+    }
+
     #[test]
     fn explanation_flags_the_informative_feature() {
         let d = xor_parity("x", 300, 1, 4, 0.0, 5);
@@ -217,7 +274,7 @@ mod tests {
         let mut f0_top = 0usize;
         let checked = 10usize;
         for &r in rows.iter().take(checked) {
-            let exp = explain_prediction(model.as_ref(), &d, r, &rows);
+            let exp = assert_matches_copy_per_feature(model.as_ref(), &d, r, &rows);
             assert_eq!(exp.len(), 5);
             if exp[0].feature == "f0" {
                 f0_top += 1;
@@ -231,13 +288,25 @@ mod tests {
         let d = xor_parity("x", 150, 1, 2, 0.0, 6);
         let rows = d.all_rows();
         let model = Algorithm::Knn.build(&ParamConfig::default()).fit(&d, &rows).unwrap();
-        let exp = explain_prediction(model.as_ref(), &d, 0, &rows);
+        let exp = assert_matches_copy_per_feature(model.as_ref(), &d, 0, &rows);
         for fi in &exp {
             assert!((-1.0..=1.0).contains(&fi.importance), "{}: {}", fi.feature, fi.importance);
         }
         // Sorted by |contribution| descending.
         for w in exp.windows(2) {
             assert!(w[0].importance.abs() >= w[1].importance.abs() - 1e-12);
+        }
+    }
+
+    #[test]
+    fn explanation_matches_copy_per_feature_on_categoricals() {
+        let d = smartml_data::synth::categorical_mixture("c", 240, 3, 3, 3, 4, 5);
+        let background: Vec<usize> = (0..d.n_rows()).filter(|r| r % 3 != 0).collect();
+        for alg in [Algorithm::NaiveBayes, Algorithm::Rpart, Algorithm::Knn] {
+            let model = alg.build(&ParamConfig::default()).fit(&d, &background).unwrap();
+            for row in [0, 3, 7, 100] {
+                assert_matches_copy_per_feature(model.as_ref(), &d, row, &background);
+            }
         }
     }
 

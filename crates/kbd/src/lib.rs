@@ -41,8 +41,8 @@ pub use client::{KbClient, RetryPolicy};
 pub use durable::{DurableOptions, RecoveryReport};
 pub use event_server::{EventServer, EventServerOptions, LoopStats};
 pub use protocol::{
-    oversized_frame_message, read_frame, BatchQuery, FrameStatus, KbStats, Request, Response,
-    ServerMetrics, MAX_FRAME_BYTES, SYNC_CHUNK_BYTES,
+    oversized_frame_message, BatchQuery, KbStats, Request, Response, ServerMetrics,
+    MAX_FRAME_BYTES, SYNC_CHUNK_BYTES,
 };
 pub use replica::{ReplicaHandle, ReplicaOptions, ReplicaTailer};
 pub use service::{RoleCell, ServeRole};

@@ -15,7 +15,6 @@
 use serde::{Deserialize, Serialize};
 use smartml_kb::{AlgorithmRun, QueryOptions, Recommendation};
 use smartml_metafeatures::{Landmarkers, MetaFeatures};
-use std::io::BufRead;
 
 /// Hard cap on one frame (request or response line), both directions.
 /// A peer that streams more than this without a newline gets one
@@ -34,57 +33,6 @@ pub fn oversized_frame_message() -> String {
 /// Conservative against [`MAX_FRAME_BYTES`]: the chunk travels inside a
 /// JSON string, and escaping can roughly double it in the worst case.
 pub const SYNC_CHUNK_BYTES: usize = 1 << 20;
-
-/// Outcome of one bounded frame read.
-#[derive(Debug, PartialEq, Eq)]
-pub enum FrameStatus {
-    /// Clean end of stream (no partial frame pending).
-    Eof,
-    /// One complete line is in the buffer (newline stripped).
-    Frame,
-    /// The stream ended mid-frame (peer died before the newline). The
-    /// partial bytes are undeliverable; close without responding.
-    Truncated,
-    /// The peer exceeded `max` bytes without sending a newline. The
-    /// buffer holds the truncated prefix; the connection must be closed
-    /// after reporting the error.
-    TooBig,
-}
-
-/// Reads one newline-terminated frame into `buf` (cleared first),
-/// never buffering more than `max` bytes — the fix for the unbounded
-/// `read_line` growth a hostile or broken client could trigger.
-pub fn read_frame(
-    reader: &mut impl BufRead,
-    buf: &mut Vec<u8>,
-    max: usize,
-) -> std::io::Result<FrameStatus> {
-    buf.clear();
-    loop {
-        let available = reader.fill_buf()?;
-        if available.is_empty() {
-            return Ok(if buf.is_empty() { FrameStatus::Eof } else { FrameStatus::Truncated });
-        }
-        match available.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                if buf.len() + pos > max {
-                    return Ok(FrameStatus::TooBig);
-                }
-                buf.extend_from_slice(&available[..pos]);
-                reader.consume(pos + 1);
-                return Ok(FrameStatus::Frame);
-            }
-            None => {
-                let take = available.len();
-                if buf.len() + take > max {
-                    return Ok(FrameStatus::TooBig);
-                }
-                buf.extend_from_slice(available);
-                reader.consume(take);
-            }
-        }
-    }
-}
 
 /// One query inside a [`Request::RecommendBatch`] — the same fields as
 /// [`Request::Recommend`] minus the op tag.
@@ -430,41 +378,6 @@ mod tests {
             serde_json::from_str::<Response>(&json).unwrap(),
             Response::Recommendations { recommendations } if recommendations.len() == 1
         ));
-    }
-
-    #[test]
-    fn read_frame_bounds_and_splits_lines() {
-        use std::io::BufReader;
-        let mut buf = Vec::new();
-        // Two frames, then EOF.
-        let mut r = BufReader::new(&b"alpha\nbeta\n"[..]);
-        assert_eq!(read_frame(&mut r, &mut buf, 64).unwrap(), FrameStatus::Frame);
-        assert_eq!(buf, b"alpha");
-        assert_eq!(read_frame(&mut r, &mut buf, 64).unwrap(), FrameStatus::Frame);
-        assert_eq!(buf, b"beta");
-        assert_eq!(read_frame(&mut r, &mut buf, 64).unwrap(), FrameStatus::Eof);
-
-        // A frame exactly at the cap passes; one byte over fails.
-        let line = vec![b'x'; 16];
-        let mut framed = line.clone();
-        framed.push(b'\n');
-        let mut r = BufReader::new(&framed[..]);
-        assert_eq!(read_frame(&mut r, &mut buf, 16).unwrap(), FrameStatus::Frame);
-        let mut r = BufReader::new(&framed[..]);
-        assert_eq!(read_frame(&mut r, &mut buf, 15).unwrap(), FrameStatus::TooBig);
-
-        // An endless unterminated stream stops at the cap instead of
-        // buffering everything (tiny BufReader capacity forces many
-        // fill_buf rounds, the worst case for the accounting).
-        let torrent = vec![b'y'; 4096];
-        let mut r = BufReader::with_capacity(8, &torrent[..]);
-        assert_eq!(read_frame(&mut r, &mut buf, 100).unwrap(), FrameStatus::TooBig);
-        assert!(buf.len() <= 100, "buffer stayed bounded: {}", buf.len());
-
-        // A final frame cut off by EOF (peer died mid-line) is
-        // distinguished from an oversized one.
-        let mut r = BufReader::new(&b"partial"[..]);
-        assert_eq!(read_frame(&mut r, &mut buf, 64).unwrap(), FrameStatus::Truncated);
     }
 
     #[test]

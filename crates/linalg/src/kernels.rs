@@ -5,108 +5,46 @@
 //! flat slices, fixed-width [`LANES`]-chunked loops with scalar remainders,
 //! and no data-dependent branches in the hot loop. The compiler maps the
 //! independent lane accumulators onto SIMD registers on any target; the
-//! code itself stays portable, `unsafe`-free, and zero-dependency (the only
-//! dependency is the in-workspace `smartml-obs` counters).
+//! code itself stays portable, `unsafe`-free, and dependency-free.
 //!
 //! # Determinism policy
 //!
+//! There is one numerics path. No process-wide switch selects another
+//! accumulation order or precision, so the same input gives the same bits
+//! in every run, test thread and job-service tenant of a process.
+//!
 //! - **Reduction kernels** ([`dot`], [`sum`], [`sum_sq_dev`],
-//!   [`squared_distance`]) accumulate into [`LANES`] independent lanes and
-//!   combine them with a *fixed pairwise reduction tree* ([`reduce8`]),
-//!   followed by the scalar remainder. The operation sequence is fully
-//!   determined by the input length — never by codegen, target CPU, or
-//!   thread count — so results are bit-identical across builds and
-//!   `-C target-cpu` settings (Rust never licenses FP reassociation or
-//!   contraction). They are *not* bit-identical to the serial left-to-right
-//!   order: that order is retained in [`scalar`] and selectable process-wide
-//!   via [`set_scalar_kernels`] (the legacy-numerics knob).
+//!   [`squared_distance`], [`pearson_sums`]) accumulate into [`LANES`]
+//!   independent lanes and combine them with a *fixed pairwise reduction
+//!   tree* ([`reduce8`]), followed by the scalar remainder. The operation
+//!   sequence is fully determined by the input length — never by codegen,
+//!   target CPU, or thread count — so results are bit-identical across
+//!   builds and `-C target-cpu` settings (Rust never licenses FP
+//!   reassociation or contraction). They are *not* bit-identical to the
+//!   serial left-to-right order; that order survives only as the test-only
+//!   `scalar` oracle module, which the unit proptests hold every reduction
+//!   to within a reassociation tolerance.
 //! - **Elementwise kernels** ([`axpy`], [`add_assign`], [`sub_assign`],
 //!   [`momentum_update`]) perform one independent FP expression per element;
-//!   vectorizing them cannot change any result, so the fast path and the
-//!   scalar oracle are bit-identical by construction.
-//! - **f32 kernels** ([`dot_f32`], [`squared_distance_f32`]) are *opt-in*
-//!   (off by default, enabled via [`set_f32_kernels`]): inputs are rounded
-//!   to f32, products are formed in f32 lanes, and accumulation happens in
-//!   f64 so lane order cannot compound the precision loss. Documented error
-//!   bound, asserted by the equivalence proptests: for inputs with
-//!   `|x| <= M`, `|kernel_f32 - kernel_f64| <= n * M² * 2⁻¹⁹`
-//!   ([`F32_EPS_SCALE`]). Consumers that honour the knob (kNN distance
-//!   ranking, the SMO kernel matrix) gate on [`use_f32_path`], which also
-//!   feeds the `linalg.kernel.f32_path` / `linalg.kernel.f64_path`
-//!   counters.
+//!   vectorizing them cannot change any result, so they are bit-identical
+//!   to the plain statements they replace by construction.
 //!
 //! # Adding a kernel
 //!
-//! 1. Write the legacy/serial reference into [`scalar`] first — it is the
-//!    oracle the proptests and the `simd_kernels` bench compare against,
-//!    and the implementation the [`set_scalar_kernels`] knob falls back to.
-//! 2. Write the fast path as a `chunks_exact(LANES)` loop with per-lane
+//! 1. Write the serial reference into the `#[cfg(test)]` `scalar` module
+//!    first — it is the oracle the unit proptests compare against.
+//! 2. Write the kernel as a `chunks_exact(LANES)` loop with per-lane
 //!    accumulators plus a scalar tail, reducing via [`reduce8`]. Keep the
 //!    loop free of branches and of anything the optimizer cannot hoist.
-//! 3. Dispatch on [`scalar_kernels`] at the top of the public function.
-//! 4. Add cases to `crates/linalg/tests/kernel_equiv.rs`: tolerance
-//!    equivalence vs the scalar oracle across remainder lengths
-//!    (`n % LANES != 0`), plus a hard-coded bit-pattern in the
-//!    codegen-invariance test.
-//! 5. Add an old-vs-new timing to `crates/bench/src/bin/simd_kernels.rs`.
-
-use smartml_obs::Counter;
-use std::sync::atomic::{AtomicBool, Ordering};
+//! 3. Add a tolerance proptest against the oracle to the crate's
+//!    `kernel_equiv` unit tests, across remainder lengths
+//!    (`n % LANES != 0`), and a hard-coded bit pattern to the
+//!    codegen-invariance test in `crates/linalg/tests/kernel_equiv.rs`.
 
 /// Chunk width of every vectorized loop. Eight f64 lanes fill two AVX2
 /// registers (or four SSE2 registers) and give the adder enough
 /// independent chains to hide FP latency even without wide SIMD.
 pub const LANES: usize = 8;
-
-/// Scale factor of the documented f32-kernel error bound:
-/// `|f32 - f64| <= n * M² * F32_EPS_SCALE` for inputs bounded by `M`.
-pub const F32_EPS_SCALE: f64 = 1.0 / (1u64 << 19) as f64;
-
-static SCALAR_KERNELS: AtomicBool = AtomicBool::new(false);
-static F32_KERNELS: AtomicBool = AtomicBool::new(false);
-
-static F64_PATH: Counter = Counter::new("linalg.kernel.f64_path");
-static F32_PATH: Counter = Counter::new("linalg.kernel.f32_path");
-
-/// Process-wide fallback to the retained serial-order scalar kernels
-/// (`true` restores the exact pre-kernel-layer numerics). Intended for
-/// differential testing and benchmarking; off by default.
-pub fn set_scalar_kernels(on: bool) {
-    SCALAR_KERNELS.store(on, Ordering::Release);
-}
-
-/// Whether the scalar-oracle fallback is active.
-#[inline(always)]
-pub fn scalar_kernels() -> bool {
-    SCALAR_KERNELS.load(Ordering::Relaxed)
-}
-
-/// Opt into the reduced-precision f32 kernels for the consumers that
-/// support them (kNN distances, the SMO kernel matrix). Off by default;
-/// results move within the documented [`F32_EPS_SCALE`] bound.
-pub fn set_f32_kernels(on: bool) {
-    F32_KERNELS.store(on, Ordering::Release);
-}
-
-/// Whether the f32 kernels are enabled.
-#[inline(always)]
-pub fn f32_kernels_enabled() -> bool {
-    F32_KERNELS.load(Ordering::Relaxed)
-}
-
-/// Path decision for a consumer that supports both precisions: returns
-/// whether to take the f32 path and bumps the corresponding
-/// `linalg.kernel.{f32,f64}_path` counter. Call once per model-level
-/// decision (a fit, a kernel-matrix build), not per element.
-pub fn use_f32_path() -> bool {
-    if f32_kernels_enabled() {
-        F32_PATH.inc();
-        true
-    } else {
-        F64_PATH.inc();
-        false
-    }
-}
 
 /// Fixed pairwise reduction of the eight lane accumulators. The tree shape
 /// is part of the determinism contract — do not "simplify" it into a fold.
@@ -122,9 +60,6 @@ fn reduce8(acc: [f64; LANES]) -> f64 {
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "dot length mismatch");
-    if scalar_kernels() {
-        return scalar::dot(a, b);
-    }
     let n = a.len().min(b.len());
     let (a, b) = (&a[..n], &b[..n]);
     let mut acc = [0.0f64; LANES];
@@ -146,9 +81,6 @@ pub fn dot(a: &[f64], b: &[f64]) -> f64 {
 #[inline]
 pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len(), "squared_distance length mismatch");
-    if scalar_kernels() {
-        return scalar::squared_distance(a, b);
-    }
     let n = a.len().min(b.len());
     let (a, b) = (&a[..n], &b[..n]);
     let mut acc = [0.0f64; LANES];
@@ -171,9 +103,6 @@ pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
 /// Sum with lane-chunked accumulation.
 #[inline]
 pub fn sum(xs: &[f64]) -> f64 {
-    if scalar_kernels() {
-        return scalar::sum(xs);
-    }
     let mut acc = [0.0f64; LANES];
     let chunks = xs.chunks_exact(LANES);
     let rem = chunks.remainder();
@@ -193,9 +122,6 @@ pub fn sum(xs: &[f64]) -> f64 {
 /// (the second pass of a two-pass variance).
 #[inline]
 pub fn sum_sq_dev(xs: &[f64], m: f64) -> f64 {
-    if scalar_kernels() {
-        return scalar::sum_sq_dev(xs, m);
-    }
     let mut acc = [0.0f64; LANES];
     let chunks = xs.chunks_exact(LANES);
     let rem = chunks.remainder();
@@ -218,9 +144,6 @@ pub fn sum_sq_dev(xs: &[f64], m: f64) -> f64 {
 #[inline]
 pub fn pearson_sums(a: &[f64], b: &[f64], ma: f64, mb: f64) -> (f64, f64, f64) {
     debug_assert_eq!(a.len(), b.len(), "pearson_sums length mismatch");
-    if scalar_kernels() {
-        return scalar::pearson_sums(a, b, ma, mb);
-    }
     let n = a.len().min(b.len());
     let (a, b) = (&a[..n], &b[..n]);
     let mut sab = [0.0f64; LANES];
@@ -249,7 +172,7 @@ pub fn pearson_sums(a: &[f64], b: &[f64], ma: f64, mb: f64) -> (f64, f64, f64) {
 }
 
 /// `y[i] += a * x[i]` — elementwise, so vectorized and scalar forms are
-/// bit-identical; no mode dispatch needed.
+/// bit-identical.
 #[inline]
 pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
     debug_assert_eq!(y.len(), x.len(), "axpy length mismatch");
@@ -297,66 +220,13 @@ pub fn momentum_update(
     }
 }
 
-/// Rounds an f64 slice to f32 storage for the opt-in reduced-precision
-/// paths.
-pub fn to_f32(xs: &[f64]) -> Vec<f32> {
-    xs.iter().map(|&x| x as f32).collect()
-}
-
-/// f32-lane dot product with f64 accumulators. See the module docs for the
-/// error bound relative to [`dot`].
-#[inline]
-pub fn dot_f32(a: &[f32], b: &[f32]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dot_f32 length mismatch");
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut acc = [0.0f64; LANES];
-    let (ca, cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
-    let (ra, rb) = (ca.remainder(), cb.remainder());
-    for (xa, xb) in ca.zip(cb) {
-        for l in 0..LANES {
-            acc[l] += (xa[l] * xb[l]) as f64;
-        }
-    }
-    let mut tail = 0.0;
-    for (x, y) in ra.iter().zip(rb) {
-        tail += (x * y) as f64;
-    }
-    reduce8(acc) + tail
-}
-
-/// f32-lane squared Euclidean distance with f64 accumulators. See the
-/// module docs for the error bound relative to [`squared_distance`].
-#[inline]
-pub fn squared_distance_f32(a: &[f32], b: &[f32]) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "squared_distance_f32 length mismatch");
-    let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
-    let mut acc = [0.0f64; LANES];
-    let (ca, cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
-    let (ra, rb) = (ca.remainder(), cb.remainder());
-    for (xa, xb) in ca.zip(cb) {
-        for l in 0..LANES {
-            let d = xa[l] - xb[l];
-            acc[l] += (d * d) as f64;
-        }
-    }
-    let mut tail = 0.0;
-    for (x, y) in ra.iter().zip(rb) {
-        let d = x - y;
-        tail += (d * d) as f64;
-    }
-    reduce8(acc) + tail
-}
-
-/// The retained serial-order scalar kernels: the exact pre-kernel-layer
-/// numerics (single accumulator, strict left-to-right order). These are
-/// the oracles the equivalence proptests and the `simd_kernels` benchmark
-/// compare against, and what the whole pipeline computes with when
-/// [`set_scalar_kernels`]`(true)` is set. The serial loop carries a
-/// loop-borne FP dependency, so the compiler cannot vectorize it — which
-/// is precisely what makes it an honest baseline.
-pub mod scalar {
+/// The serial-order reductions the kernels replaced: single accumulator,
+/// strict left-to-right order. Test-only oracles — the unit proptests hold
+/// the lane-order kernels to them within a reassociation tolerance. The
+/// serial loop carries a loop-borne FP dependency, so the compiler cannot
+/// vectorize it.
+#[cfg(test)]
+pub(crate) mod scalar {
     /// Serial-order dot product.
     pub fn dot(a: &[f64], b: &[f64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| x * y).sum()
@@ -388,14 +258,6 @@ pub mod scalar {
             sbb += dy * dy;
         }
         (sab, saa, sbb)
-    }
-
-    /// Elementwise `y += a*x` (bit-identical to [`super::axpy`]; retained
-    /// for the benchmark's old-vs-new symmetry).
-    pub fn axpy(y: &mut [f64], a: f64, x: &[f64]) {
-        for (yv, &xv) in y.iter_mut().zip(x) {
-            *yv += a * xv;
-        }
     }
 }
 
@@ -443,33 +305,6 @@ mod tests {
         assert_eq!(sum(&[]), 0.0);
         assert_eq!(squared_distance(&[], &[]), 0.0);
         assert_eq!(sum_sq_dev(&[], 1.0), 0.0);
-        assert_eq!(dot_f32(&[], &[]), 0.0);
-        assert_eq!(squared_distance_f32(&[], &[]), 0.0);
-    }
-
-    #[test]
-    fn scalar_knob_switches_numerics() {
-        let a = seq(100, 5);
-        let b = seq(100, 6);
-        set_scalar_kernels(true);
-        let via_knob = dot(&a, &b);
-        set_scalar_kernels(false);
-        assert_eq!(via_knob.to_bits(), scalar::dot(&a, &b).to_bits());
-    }
-
-    #[test]
-    fn f32_kernels_within_documented_bound() {
-        for n in [1, 9, 64, 300] {
-            let a = seq(n, 7);
-            let b = seq(n, 8);
-            let (af, bf) = (to_f32(&a), to_f32(&b));
-            let bound = n as f64 * 64.0 * F32_EPS_SCALE; // M = 8
-            assert!((dot_f32(&af, &bf) - dot(&a, &b)).abs() <= bound, "dot n={n}");
-            assert!(
-                (squared_distance_f32(&af, &bf) - squared_distance(&a, &b)).abs() <= bound,
-                "sqdist n={n}"
-            );
-        }
     }
 
     #[test]
@@ -494,14 +329,5 @@ mod tests {
         }
         assert_eq!(w, w2);
         assert_eq!(v, v2);
-    }
-
-    #[test]
-    fn f32_path_decision_honours_knob() {
-        set_f32_kernels(false);
-        assert!(!use_f32_path());
-        set_f32_kernels(true);
-        assert!(use_f32_path());
-        set_f32_kernels(false);
     }
 }

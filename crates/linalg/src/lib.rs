@@ -8,11 +8,13 @@
 //! implementations favour clarity and numerical robustness over peak FLOPs —
 //! but the hot inner loops (dot/distance/sum reductions, AXPY updates, the
 //! matmul micro-kernel) now live in the autovectorization-friendly
-//! [`kernels`] module, with retained scalar oracles behind a process-wide
-//! knob and a documented determinism policy (see `kernels`' module docs and
+//! [`kernels`] module, with one numerics path, test-only serial oracles and
+//! a documented determinism policy (see `kernels`' module docs and
 //! DESIGN.md § Compute layer).
 
 mod decomp;
+#[cfg(test)]
+mod kernel_equiv;
 pub mod kernels;
 mod matrix;
 mod stats;
@@ -23,5 +25,3 @@ pub use decomp::{
 };
 pub use matrix::Matrix;
 pub use stats::{column_means, covariance_matrix, pearson_correlation};
-#[doc(hidden)]
-pub use stats::oracle as stats_oracle;

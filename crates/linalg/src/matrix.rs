@@ -148,11 +148,7 @@ impl Matrix {
             });
         }
         GEMM_CALLS.inc();
-        if kernels::scalar_kernels() {
-            Ok(self.matmul_serial(rhs))
-        } else {
-            Ok(self.matmul_blocked(rhs))
-        }
+        Ok(self.matmul_blocked(rhs))
     }
 
     /// Matrix product `self * rhs`.
@@ -167,10 +163,11 @@ impl Matrix {
         }
     }
 
-    /// The retained pre-kernel-layer product: i-k-j loop order, one output
-    /// row live at a time. Serves as the scalar oracle for the blocked path
-    /// (results are bit-identical) and as the `simd_kernels` bench baseline.
-    fn matmul_serial(&self, rhs: &Matrix) -> Matrix {
+    /// The product the blocked kernel replaced: i-k-j loop order, one
+    /// output row live at a time. The test oracle for the blocked path
+    /// (results are bit-identical).
+    #[cfg(test)]
+    pub(crate) fn matmul_serial(&self, rhs: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, rhs.cols);
         // i-k-j loop order keeps the inner loop contiguous in both `rhs` and `out`.
         for i in 0..self.rows {
@@ -192,7 +189,8 @@ impl Matrix {
     /// Register-blocked product: a 4-row micro-kernel reuses each `rhs` row
     /// across four output rows, quartering the dominant memory traffic while
     /// keeping every `(i, j)` accumulation in ascending-`k` order — so the
-    /// result is bit-identical to [`Matrix::matmul_serial`].
+    /// result is bit-identical to the serial i-k-j product (`matmul_serial`,
+    /// kept as a test oracle).
     fn matmul_blocked(&self, rhs: &Matrix) -> Matrix {
         const MR: usize = 4;
         let (n, kd, m) = (self.rows, self.cols, rhs.cols);

@@ -4,8 +4,8 @@
 //! Pearson sums) run on the vectorized [`crate::kernels`] layer. The
 //! covariance and mean rewrites are *elementwise order-preserving* — each
 //! output cell accumulates the same values in the same order as the legacy
-//! nested loops — so they are bit-identical to the retained [`oracle`]
-//! implementations, which exist for differential tests and benchmarks.
+//! nested loops — so they are bit-identical to the test-only `oracle`
+//! implementations the unit tests compare them with.
 
 use crate::kernels;
 use crate::Matrix;
@@ -33,7 +33,7 @@ pub fn column_means(x: &Matrix) -> Vec<f64> {
 /// Each observation is centered once into a scratch row and rank-1-updates
 /// the upper triangle via AXPYs over contiguous `cov` row tails — the same
 /// multiplies and adds, in the same order, as the legacy scalar triple loop
-/// (bit-identical to [`oracle::covariance_matrix`]).
+/// (bit-identical to the test oracle `oracle::covariance_matrix`).
 pub fn covariance_matrix(x: &Matrix) -> Matrix {
     let (n, p) = x.shape();
     let mut cov = Matrix::zeros(p, p);
@@ -83,10 +83,10 @@ pub fn pearson_correlation(a: &[f64], b: &[f64]) -> f64 {
     sab / (saa.sqrt() * sbb.sqrt())
 }
 
-/// Retained pre-kernel-layer implementations: the scalar oracles the
-/// equivalence tests and the `simd_kernels` benchmark compare against.
-#[doc(hidden)]
-pub mod oracle {
+/// The implementations the kernel-layer versions replaced: test oracles
+/// the unit tests compare against.
+#[cfg(test)]
+pub(crate) mod oracle {
     use super::Matrix;
 
     /// Legacy nested-loop covariance (single accumulator per cell, scalar

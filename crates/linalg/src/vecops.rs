@@ -4,8 +4,7 @@
 //! The reduction-shaped entry points (`sum`, `mean`, `variance`, `dot`,
 //! `euclidean_distance`, `norm`) delegate to the vectorized
 //! [`crate::kernels`] layer and inherit its determinism policy: fixed
-//! lane-order accumulation, with the legacy serial numerics available
-//! process-wide via [`crate::kernels::set_scalar_kernels`].
+//! lane-order accumulation, the same on every target and in every run.
 
 use crate::kernels;
 

@@ -1,67 +1,36 @@
-//! Equivalence proofs for the vectorized kernel layer (DESIGN.md
-//! § Compute layer):
+//! Kernel-layer checks that need no test-only oracle (DESIGN.md
+//! § Compute layer); the proofs against the serial oracles are the
+//! crate's `kernel_equiv` unit tests.
 //!
-//! - **Bit-identity** for every order-preserving fast path (covariance, the
-//!   elementwise AXPY family) against its retained scalar oracle, via
-//!   `to_bits` comparison under proptest. The blocked matmul's oracle sits
-//!   behind the process-wide scalar knob, so its proof lives with the knob's
-//!   own test in `scalar_knob.rs`, a process of its own: flipping the knob
-//!   here changed `kernels::dot` under `matvec_matches_dot_kernel` on
-//!   another test thread.
-//! - **Bounded tolerance** for the lane-reassociated reductions (dot, sum,
-//!   distance, Pearson sums) against the serial-order oracles, and for the
-//!   opt-in f32 kernels against their f64 counterparts within the
-//!   documented `n · M² · F32_EPS_SCALE` envelope.
+//! - **Bit-identity** of the elementwise AXPY family against the scalar
+//!   statements it fuses, and of `matvec` against the `dot` kernel, via
+//!   `to_bits` comparison under proptest.
 //! - **Codegen invariance**: hard-coded output bit patterns that must
 //!   reproduce under any `-C target-cpu` (verify.sh runs this suite twice,
 //!   baseline and `target-cpu=native`).
 
-mod common;
-
-use common::{matrix, vec_pair, MAX_ABS};
 use proptest::prelude::*;
-use smartml_linalg::{covariance_matrix, kernels, stats_oracle, LinalgError, Matrix};
+use smartml_linalg::{kernels, LinalgError, Matrix};
 
-fn reduction_tol(reference: f64) -> f64 {
-    1e-10 * (1.0 + reference.abs())
+const MAX_ABS: f64 = 10.0;
+
+fn vec_pair(max_len: usize) -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    (0usize..=max_len).prop_flat_map(|n| {
+        (
+            prop::collection::vec(-MAX_ABS..MAX_ABS, n..=n),
+            prop::collection::vec(-MAX_ABS..MAX_ABS, n..=n),
+        )
+    })
+}
+
+fn matrix(rows: std::ops::RangeInclusive<usize>, cols: std::ops::RangeInclusive<usize>) -> impl Strategy<Value = Matrix> {
+    (rows, cols).prop_flat_map(|(r, c)| {
+        prop::collection::vec(-MAX_ABS..MAX_ABS, r * c..=r * c)
+            .prop_map(move |data| Matrix::from_vec(r, c, data))
+    })
 }
 
 proptest! {
-    // Reductions: lane-reassociated fast path vs serial-order oracle,
-    // within a tolerance that only covers FP reassociation.
-    #[test]
-    fn dot_close_to_serial_oracle((a, b) in vec_pair(200)) {
-        let slow = kernels::scalar::dot(&a, &b);
-        prop_assert!((kernels::dot(&a, &b) - slow).abs() <= reduction_tol(slow));
-    }
-
-    #[test]
-    fn squared_distance_close_to_serial_oracle((a, b) in vec_pair(200)) {
-        let slow = kernels::scalar::squared_distance(&a, &b);
-        prop_assert!((kernels::squared_distance(&a, &b) - slow).abs() <= reduction_tol(slow));
-    }
-
-    #[test]
-    fn sum_and_sq_dev_close_to_serial_oracle((a, _b) in vec_pair(200)) {
-        let slow = kernels::scalar::sum(&a);
-        prop_assert!((kernels::sum(&a) - slow).abs() <= reduction_tol(slow));
-        let m = if a.is_empty() { 0.0 } else { slow / a.len() as f64 };
-        let slow_dev = kernels::scalar::sum_sq_dev(&a, m);
-        prop_assert!((kernels::sum_sq_dev(&a, m) - slow_dev).abs() <= reduction_tol(slow_dev));
-    }
-
-    #[test]
-    fn pearson_sums_close_to_serial_oracle((a, b) in vec_pair(200)) {
-        let n = a.len().max(1) as f64;
-        let ma = kernels::sum(&a) / n;
-        let mb = kernels::sum(&b) / n;
-        let (fab, faa, fbb) = kernels::pearson_sums(&a, &b, ma, mb);
-        let (sab, saa, sbb) = kernels::scalar::pearson_sums(&a, &b, ma, mb);
-        prop_assert!((fab - sab).abs() <= reduction_tol(sab));
-        prop_assert!((faa - saa).abs() <= reduction_tol(saa));
-        prop_assert!((fbb - sbb).abs() <= reduction_tol(sbb));
-    }
-
     // Elementwise family: bit-identical to the scalar statements it fuses.
     #[test]
     fn axpy_family_bit_identical((x, y0) in vec_pair(200)) {
@@ -97,28 +66,6 @@ proptest! {
         }
         prop_assert_eq!(&w, &ws);
         prop_assert_eq!(&v, &vs);
-    }
-
-    // f32 kernels: inside the documented error envelope, never on by default.
-    #[test]
-    fn f32_kernels_within_documented_epsilon((a, b) in vec_pair(300)) {
-        prop_assert!(!kernels::f32_kernels_enabled(), "f32 knob must default off");
-        let (af, bf) = (kernels::to_f32(&a), kernels::to_f32(&b));
-        let bound = a.len() as f64 * MAX_ABS * MAX_ABS * kernels::F32_EPS_SCALE;
-        let d = (kernels::dot_f32(&af, &bf) - kernels::dot(&a, &b)).abs();
-        prop_assert!(d <= bound, "dot err {d} > {bound}");
-        let d = (kernels::squared_distance_f32(&af, &bf) - kernels::squared_distance(&a, &b)).abs();
-        prop_assert!(d <= bound, "sqdist err {d} > {bound}");
-    }
-
-    // Covariance: AXPY-tiled upper triangle vs the legacy nested loop.
-    #[test]
-    fn covariance_bit_identical_to_oracle(x in matrix(2..=25, 1..=10)) {
-        let fast = covariance_matrix(&x);
-        let slow = stats_oracle::covariance_matrix(&x);
-        for (a, b) in fast.as_slice().iter().zip(slow.as_slice()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 
     #[test]
@@ -176,8 +123,6 @@ fn codegen_invariant_bit_patterns() {
         0x40d54b1320286b5f,
         "sum_sq_dev bits drifted"
     );
-    let (af, bf) = (kernels::to_f32(&a), kernels::to_f32(&b));
-    assert_eq!(kernels::dot_f32(&af, &bf).to_bits(), 0xc0850123e7d86000, "dot_f32 bits drifted");
     let m = Matrix::from_vec(16, 8, seq(128, 3));
     let n = Matrix::from_vec(8, 16, seq(128, 4));
     let p = m.matmul(&n);

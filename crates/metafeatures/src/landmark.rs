@@ -7,8 +7,8 @@
 
 use serde::{Deserialize, Serialize};
 use smartml_classifiers::common::tree::{DecisionTree, Pruning, SplitCriterion, TreeConfig};
-use smartml_data::{accuracy, Dataset};
-use smartml_linalg::vecops;
+use smartml_data::{accuracy, Dataset, Feature};
+use smartml_linalg::{vecops, Matrix};
 
 /// The two landmarker accuracies.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -27,7 +27,7 @@ pub fn landmarkers(data: &Dataset, rows: &[usize]) -> Landmarkers {
     }
     let (train, test) = rows.split_at(mid);
     let (x_train, _) = data.to_numeric_matrix(train);
-    let (x_test, _) = data.to_numeric_matrix(test);
+    let x_test = encode_with_train_fill(data, train, test);
     let y_train = data.labels_for(train);
     let y_test = data.labels_for(test);
     let k = data.n_classes();
@@ -43,6 +43,34 @@ pub fn landmarkers(data: &Dataset, rows: &[usize]) -> Landmarkers {
     let nearest_centroid = accuracy(&y_test, &centroid_pred);
 
     Landmarkers { decision_stump, nearest_centroid }
+}
+
+/// `to_numeric_matrix(test)`, except that a missing numeric cell takes the
+/// train half's column mean — the value `to_numeric_matrix(train)` fills
+/// the train half with — instead of the test half's own mean.
+fn encode_with_train_fill(data: &Dataset, train: &[usize], test: &[usize]) -> Matrix {
+    let (mut x, _) = data.to_numeric_matrix(test);
+    let mut col = 0;
+    for feat in data.features() {
+        match feat {
+            Feature::Numeric { values, .. } => {
+                let (mut sum, mut n) = (0.0, 0usize);
+                for v in train.iter().map(|&r| values[r]).filter(|v| !v.is_nan()) {
+                    sum += v;
+                    n += 1;
+                }
+                let fill = if n > 0 { sum / n as f64 } else { 0.0 };
+                for (i, &r) in test.iter().enumerate() {
+                    if values[r].is_nan() {
+                        x[(i, col)] = fill;
+                    }
+                }
+                col += 1;
+            }
+            Feature::Categorical { levels, .. } => col += levels.len(),
+        }
+    }
+    x
 }
 
 fn fit_predict_stump(data: &Dataset, train: &[usize], test: &[usize]) -> Vec<u32> {
@@ -64,9 +92,9 @@ fn fit_predict_stump(data: &Dataset, train: &[usize], test: &[usize]) -> Vec<u32
 }
 
 fn fit_predict_centroid(
-    x_train: &smartml_linalg::Matrix,
+    x_train: &Matrix,
     y_train: &[u32],
-    x_test: &smartml_linalg::Matrix,
+    x_test: &Matrix,
     n_classes: usize,
 ) -> Vec<u32> {
     let d = x_train.cols();
@@ -132,6 +160,33 @@ mod tests {
         let lm = landmarkers(&d, &[0]);
         assert_eq!(lm.decision_stump, 0.0);
         assert_eq!(lm.nearest_centroid, 0.0);
+    }
+
+    #[test]
+    fn missing_test_cell_takes_the_train_mean() {
+        // A constant categorical ahead of the numeric column shifts its
+        // output column. Train half: x = 0, 0, 0, 10 (mean 2.5); test half:
+        // x = 10, 10, 10, missing. Filled with the test half's own mean (10)
+        // the missing row would sit on the class-1 centroid.
+        let dataset = |last: f64| {
+            let cat = Feature::Categorical {
+                name: "c".into(),
+                codes: vec![0; 8],
+                levels: vec!["p".into(), "q".into()],
+            };
+            let x = Feature::Numeric {
+                name: "x".into(),
+                values: vec![0.0, 0.0, 0.0, 10.0, 10.0, 10.0, 10.0, last],
+            };
+            Dataset::new("m", vec![cat, x], vec![0, 0, 0, 1, 1, 1, 1, 0], vec!["a".into(), "b".into()])
+                .unwrap()
+        };
+        let (with_gap, filled) = (dataset(f64::NAN), dataset(2.5));
+        let rows = with_gap.all_rows();
+        let got = landmarkers(&with_gap, &rows).nearest_centroid;
+        let want = landmarkers(&filled, &rows).nearest_centroid;
+        assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
+        assert_eq!(got, 1.0);
     }
 
     #[test]
