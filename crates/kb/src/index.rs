@@ -29,8 +29,22 @@
 //!   fixed set, so a bounded heap of the best `k` seen so far, sorted at
 //!   the end, is the reference's first `k` — in O(n log k), not
 //!   O(n log n), and with `k` clamped to `n` before it sizes anything.
+//! - **Pruning.** Once the heap holds `k` rows, a row whose squared
+//!   distance is `>=` the worst held row's squared distance `b` cannot
+//!   enter it: `sqrt` is monotone, so its distance is `>=` the worst
+//!   one's, and its row number is larger, so the `(distance bits, row)`
+//!   compare would reject it. The scan hands `b` to
+//!   [`squared_distance_within`], which gives up on such a row as soon as
+//!   a partial sum reaches `b` (a partial sum of non-negative terms never
+//!   exceeds the whole) and otherwise returns the bits
+//!   `squared_distance` would. A row that finishes goes through the same
+//!   [`finish_distance`] and the same compare as before, so the heap sees
+//!   exactly the candidates that could change it. A query whose distance
+//!   takes landmarkers in scans with the bound held at +∞: the extended
+//!   distance has no proven lower bound in the squared Euclidean part.
 
-use crate::query::{entry_distance, z_score, QueryOptions};
+use crate::query::{finish_distance, z_score, QueryOptions};
+use smartml_linalg::kernels::squared_distance_within;
 use smartml_metafeatures::{Landmarkers, N_META_FEATURES as WIDTH};
 use std::collections::BinaryHeap;
 
@@ -190,17 +204,18 @@ impl ZIndex {
     }
 
     /// `(row, distance)` of the `options.n_neighbors` rows nearest to
-    /// `query` (checked meta-feature values), nearest first, ties by row.
-    /// `landmarkers_of` is asked for a row's landmarkers only when the
-    /// distance can use them: `use_landmarkers` set and the query
-    /// carrying its own.
+    /// `query` (checked meta-feature values), nearest first, ties by row,
+    /// and how many rows the scan finished a distance for (the rest the
+    /// bound pruned; see the module docs). `landmarkers_of` is asked for
+    /// a row's landmarkers only when the distance can use them:
+    /// `use_landmarkers` set and the query carrying its own.
     pub fn nearest(
         &self,
         query: &[f64],
         query_landmarkers: Option<Landmarkers>,
         options: &QueryOptions,
         landmarkers_of: impl Fn(usize) -> Option<Landmarkers>,
-    ) -> Vec<(usize, f64)> {
+    ) -> (Vec<(usize, f64)>, u64) {
         assert_eq!(query.len(), WIDTH, "unchecked meta-features reached the index");
         let k = options.n_neighbors.max(1).min(self.z.len() / WIDTH);
         let mut query_z = [0.0; WIDTH];
@@ -210,12 +225,24 @@ impl ZIndex {
         let extended = options.use_landmarkers && query_landmarkers.is_some();
         // A distance is a square root: never negative, not even -0.0, so
         // its bit pattern orders as its value does (and a NaN, should one
-        // ever arise, sorts last where `partial_cmp` would panic).
-        let mut best: BinaryHeap<(u64, usize)> = BinaryHeap::with_capacity(k);
+        // ever arise, sorts last where `partial_cmp` would panic). The
+        // third field, the squared distance's bits, never decides the
+        // order: `row` already makes every entry distinct.
+        let mut best: BinaryHeap<(u64, usize, u64)> = BinaryHeap::with_capacity(k);
+        // Rows whose squared distance reaches `bound` cannot enter `best`
+        // (see the module docs): the worst held row's squared distance
+        // once `best` is full, +∞ before, and +∞ throughout when
+        // landmarkers join the distance.
+        let mut bound = f64::INFINITY;
+        let mut finished = 0u64;
         for (row, entry_z) in self.z.chunks_exact(WIDTH).enumerate() {
+            let Some(squared) = squared_distance_within(&query_z, entry_z, bound) else {
+                continue;
+            };
+            finished += 1;
             let marks = if extended { landmarkers_of(row) } else { None };
-            let distance = entry_distance(&query_z, entry_z, marks, query_landmarkers, options);
-            let candidate = (distance.to_bits(), row);
+            let distance = finish_distance(squared, marks, query_landmarkers, options);
+            let candidate = (distance.to_bits(), row, squared.to_bits());
             if best.len() < k {
                 best.push(candidate);
             } else if let Some(mut worst) = best.peek_mut() {
@@ -223,15 +250,20 @@ impl ZIndex {
                     *worst = candidate;
                 }
             }
+            if best.len() == k && !extended {
+                bound = best.peek().map_or(bound, |worst| f64::from_bits(worst.2));
+            }
         }
-        best.into_sorted_vec().into_iter().map(|(bits, row)| (row, f64::from_bits(bits))).collect()
+        let nearest =
+            best.into_sorted_vec().into_iter().map(|(bits, row, _)| (row, f64::from_bits(bits)));
+        (nearest.collect(), finished)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::{normalisation_stats_over, normalise};
+    use crate::query::{entry_distance, normalisation_stats_over, normalise};
     use proptest::prelude::*;
 
     /// A row from a small pool, so histories repeat vectors: identical
@@ -263,6 +295,63 @@ mod tests {
         ]
     }
 
+    /// Landmarkers for row `row` of a test table: a small pool, so
+    /// extended distances tie too, and every third row carries none.
+    fn marks_of(row: usize) -> Option<Landmarkers> {
+        (!row.is_multiple_of(3)).then_some(Landmarkers {
+            decision_stump: (row % 4) as f64 * 0.25,
+            nearest_centroid: (row % 5) as f64 * 0.2,
+        })
+    }
+
+    const QUERY_MARKS: Landmarkers = Landmarkers { decision_stump: 0.5, nearest_centroid: 0.4 };
+
+    /// The reference's ranking of every row for `query`: distances by
+    /// `entry_distance`, stable-sorted, as `(row, distance bits)`.
+    fn reference_ranking(
+        rows: &[Vec<f64>],
+        query: &[f64],
+        query_marks: Option<Landmarkers>,
+        options: &QueryOptions,
+    ) -> Vec<(usize, u64)> {
+        let slices: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
+        let stats = normalisation_stats_over(&slices);
+        let query_z = normalise(query, &stats.means, &stats.stds);
+        let mut ranked: Vec<(usize, f64)> = rows
+            .iter()
+            .map(|r| normalise(r, &stats.means, &stats.stds))
+            .enumerate()
+            .map(|(row, z)| (row, entry_distance(&query_z, &z, marks_of(row), query_marks, options)))
+            .collect();
+        ranked.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
+        ranked.into_iter().map(|(row, d)| (row, d.to_bits())).collect()
+    }
+
+    /// `index.nearest(query)` against the reference's first `k`, plain and
+    /// with landmarkers, for `k` in {1, 3, 5, n, n + 3, usize::MAX} and
+    /// for every `k` whose `k`-th and `k + 1`-th places tie.
+    fn assert_nearest_matches(index: &ZIndex, rows: &[Vec<f64>], query: &[f64], context: &str) {
+        let plain = QueryOptions::default();
+        let extended = QueryOptions { use_landmarkers: true, ..QueryOptions::default() };
+        for (options, query_marks) in [(&plain, None), (&extended, Some(QUERY_MARKS))] {
+            let ranking = reference_ranking(rows, query, query_marks, options);
+            let n = rows.len();
+            let ties = ranking.windows(2).enumerate().filter(|(_, w)| w[0].1 == w[1].1);
+            let ks = [1, 3, 5, n, n + 3, usize::MAX].into_iter().chain(ties.map(|(i, _)| i + 1));
+            for n_neighbors in ks {
+                let options = QueryOptions { n_neighbors, ..options.clone() };
+                let got: Vec<(usize, u64)> = index
+                    .nearest(query, query_marks, &options, marks_of)
+                    .0
+                    .iter()
+                    .map(|&(row, d)| (row, d.to_bits()))
+                    .collect();
+                let want = &ranking[..n_neighbors.max(1).min(n)];
+                assert_eq!(got, want, "k={n_neighbors}, marks {query_marks:?}, {context}");
+            }
+        }
+    }
+
     /// The reference's statistics, z-scores and stable-sorted distances
     /// for `rows`, against `index` rebuilt for the same rows.
     fn assert_matches_reference(index: &ZIndex, rows: &[Vec<f64>], context: &str) {
@@ -274,26 +363,31 @@ mod tests {
         let z: Vec<f64> =
             rows.iter().flat_map(|r| normalise(r, &stats.means, &stats.stds)).collect();
         assert_eq!(bits(&index.z), bits(&z), "z-scores, {context}");
+        assert_nearest_matches(index, rows, &pooled(4), context);
+    }
 
-        let query = pooled(4);
-        let query_z = normalise(&query, &stats.means, &stats.stds);
-        for n_neighbors in [1, 3, rows.len(), rows.len() + 2, usize::MAX] {
-            let options = QueryOptions { n_neighbors, ..QueryOptions::default() };
-            let mut want: Vec<(usize, f64)> = z
-                .chunks_exact(WIDTH)
-                .map(|e| entry_distance(&query_z, e, None, None, &options))
-                .enumerate()
-                .collect();
-            want.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-            want.truncate(n_neighbors.max(1));
-            let got: Vec<(usize, u64)> = index
-                .nearest(&query, None, &options, |_| None)
-                .iter()
-                .map(|&(row, d)| (row, d.to_bits()))
-                .collect();
-            let want: Vec<(usize, u64)> = want.iter().map(|&(r, d)| (r, d.to_bits())).collect();
-            assert_eq!(got, want, "k={n_neighbors}, {context}");
+    /// `rows` re-inserted farthest from `query` first, so that nearly
+    /// every row tightens the scan's bound, and checked like any table.
+    fn assert_far_to_near_matches(rows: &[Vec<f64>], query: &[f64], context: &str) {
+        let ranking = reference_ranking(rows, query, None, &QueryOptions::default());
+        let far_to_near: Vec<Vec<f64>> =
+            ranking.iter().rev().map(|&(row, _)| rows[row].clone()).collect();
+        let mut table = FeatureTable::default();
+        for row in &far_to_near {
+            table.push(row);
         }
+        let mut index = ZIndex::default();
+        index.rebuild(&table);
+        assert_nearest_matches(&index, &far_to_near, query, &format!("far to near, {context}"));
+    }
+
+    /// Row `pick` of the pool pulled toward the query `pooled(4)` and
+    /// stretched by `1 + step · 2e-4`: rows on a few rays whose squared
+    /// distances sit a few parts in 10⁴ apart, inside the margin a
+    /// loosened or tightened bound would get wrong.
+    fn shell(pick: usize, step: usize) -> Vec<f64> {
+        let scale = 1.0 + step as f64 * 2e-4;
+        pooled(4).iter().zip(pooled(pick)).map(|(&q, p)| q + (p - q) * scale).collect()
     }
 
     proptest! {
@@ -343,7 +437,54 @@ mod tests {
             let mut fresh = ZIndex::default();
             fresh.rebuild(&table);
             assert_matches_reference(&fresh, &rows, "fresh index");
+            assert_far_to_near_matches(&rows, &pooled(4), &format!("{ops:?}"));
         }
+
+        /// Rows on a few rays from the query, their squared distances a
+        /// few parts in 10⁴ apart and many repeated, in generated order
+        /// and far to near: a bound read from the wrong held row, or
+        /// scaled at all, drops a row that belongs in the answer.
+        #[test]
+        fn pruned_scan_matches_the_reference_on_near_ties(
+            shells in prop::collection::vec((0..9usize, 0..12usize), 1..40)
+        ) {
+            let rows: Vec<Vec<f64>> = shells.iter().map(|&(pick, step)| shell(pick, step)).collect();
+            let mut table = FeatureTable::default();
+            for row in &rows {
+                table.push(row);
+            }
+            let mut index = ZIndex::default();
+            index.rebuild(&table);
+            assert_matches_reference(&index, &rows, &format!("{shells:?}"));
+            assert_far_to_near_matches(&rows, &pooled(4), &format!("{shells:?}"));
+        }
+    }
+
+    #[test]
+    fn the_bound_prunes_every_row_that_cannot_enter() {
+        // One ray, each row farther out than the one before: nearest first,
+        // nothing after the first `k` can enter; farthest first, every row
+        // displaces the worst held one and so is finished.
+        let n = 200;
+        let rows: Vec<Vec<f64>> = (0..n).map(|i| shell(0, 5000 * i)).collect();
+        let count = |rows: &[Vec<f64>], options: &QueryOptions, marks| {
+            let mut table = FeatureTable::default();
+            for row in rows {
+                table.push(row);
+            }
+            let mut index = ZIndex::default();
+            index.rebuild(&table);
+            index.nearest(&pooled(4), marks, options, marks_of).1
+        };
+        let plain = QueryOptions::default();
+        let far_to_near: Vec<Vec<f64>> = rows.iter().rev().cloned().collect();
+        assert_eq!(count(&rows, &plain, None), plain.n_neighbors as u64);
+        assert_eq!(count(&far_to_near, &plain, None), n as u64);
+        // With landmarkers in the distance nothing is pruned.
+        let extended = QueryOptions { use_landmarkers: true, ..plain };
+        assert_eq!(count(&rows, &extended, Some(QUERY_MARKS)), n as u64);
+        // Without them in the query, the plain bound applies again.
+        assert_eq!(count(&rows, &extended, None), extended.n_neighbors as u64);
     }
 
     #[test]
@@ -362,13 +503,13 @@ mod tests {
         };
         let plain = QueryOptions { n_neighbors: 6, ..QueryOptions::default() };
         let extended = QueryOptions { use_landmarkers: true, ..plain.clone() };
-        let unextended = index.nearest(&pooled(2), Some(marks), &plain, of);
-        assert_eq!(index.nearest(&pooled(2), None, &extended, of), unextended);
+        let unextended = index.nearest(&pooled(2), Some(marks), &plain, of).0;
+        assert_eq!(index.nearest(&pooled(2), None, &extended, of).0, unextended);
         assert_eq!(asked.get(), 0);
         assert_eq!(unextended[0], (2, 0.0));
         // Row 2 is the query itself, but its landmarkers are far from the
         // query's; the odd rows carry none and keep their plain distance.
-        let near = index.nearest(&pooled(2), Some(marks), &extended, of);
+        let near = index.nearest(&pooled(2), Some(marks), &extended, of).0;
         assert_eq!(asked.get(), 6);
         let distance = |of: &[(usize, f64)], row| of.iter().find(|n| n.0 == row).unwrap().1;
         assert!(distance(&near, 2) > 2.0, "{near:?}");

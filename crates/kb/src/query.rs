@@ -184,7 +184,23 @@ pub(crate) fn entry_distance(
     query_landmarkers: Option<Landmarkers>,
     options: &QueryOptions,
 ) -> f64 {
-    let mut dist = euclidean(query_z, entry_z);
+    // Lane-chunked kernel: breaks the serial add dependency chain the
+    // naive fold has, which is most of the per-entry query cost.
+    let squared = smartml_linalg::kernels::squared_distance(query_z, entry_z);
+    finish_distance(squared, entry_landmarkers, query_landmarkers, options)
+}
+
+/// [`entry_distance`] from the squared Euclidean distance of the
+/// z-scores on: the one finishing step the monolithic query and
+/// [`crate::ZIndex`] share, so their distances cannot round apart.
+#[inline]
+pub(crate) fn finish_distance(
+    squared: f64,
+    entry_landmarkers: Option<Landmarkers>,
+    query_landmarkers: Option<Landmarkers>,
+    options: &QueryOptions,
+) -> f64 {
+    let mut dist = squared.sqrt();
     if options.use_landmarkers {
         if let (Some(q), Some(el)) = (query_landmarkers, entry_landmarkers) {
             let dl = ((q.decision_stump - el.decision_stump).powi(2)
@@ -234,14 +250,6 @@ pub fn vote_ranked(ranked: &[(&KbEntry, f64)], options: &QueryOptions) -> Recomm
         algorithms,
         neighbors: ranked.iter().map(|(e, d)| (e.dataset_id.clone(), *d)).collect(),
     }
-}
-
-fn euclidean(a: &[f64], b: &[f64]) -> f64 {
-    // Lane-chunked kernel: breaks the serial add dependency chain the
-    // naive fold has, which is most of the per-entry query cost. Every
-    // caller of `entry_distance` (monolithic KB and `ZIndex` alike)
-    // goes through here, so backends stay byte-identical to each other.
-    smartml_linalg::kernels::squared_distance(a, b).sqrt()
 }
 
 #[cfg(test)]

@@ -68,6 +68,11 @@ use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 /// Z-score rebuilds: one per feature-version change that a query saw.
 static ZCACHE_REBUILDS: Counter = Counter::new("kbd.zcache.rebuilds");
 
+/// Rows whose distance a read's z-index scan finished, added once per
+/// read; one minus it over the rows scanned is the share the scan's
+/// bound pruned.
+static ZINDEX_ROWS_FINISHED: Counter = Counter::new("kbd.zindex.rows_finished");
+
 /// Where one dataset's entry lives.
 #[derive(Debug, Clone, Copy)]
 struct Loc {
@@ -302,14 +307,16 @@ impl ShardedKb {
             let Loc { shard, index } = reg.locs[seq];
             &guards[shard].entries()[index]
         };
-        let nearest = self.cached_z(&reg.features).nearest(
+        let (nearest, finished) = self.cached_z(&reg.features).nearest(
             &meta_features.values,
             query_landmarkers,
             options,
             |seq| entry(seq).landmarkers,
         );
+        ZINDEX_ROWS_FINISHED.add(finished);
+        // Same element size: collected into `nearest`'s own buffer.
         let ranked: Vec<(&KbEntry, f64)> =
-            nearest.iter().map(|&(seq, distance)| (entry(seq), distance)).collect();
+            nearest.into_iter().map(|(seq, distance)| (entry(seq), distance)).collect();
         Ok(vote_ranked(&ranked, options))
     }
 

@@ -6,7 +6,7 @@
 //! A counting `#[global_allocator]` needs a test binary of its own, and
 //! the counts are per thread, so the one test below measures undisturbed
 //! — which also makes it the place to read the process-wide
-//! `kbd.zcache.rebuilds` counter.
+//! `kbd.zcache.rebuilds` and `kbd.zindex.rows_finished` counters.
 
 use smartml_classifiers::{Algorithm, ParamConfig};
 use smartml_kb::{AlgorithmRun, QueryOptions};
@@ -93,9 +93,17 @@ fn run(i: usize) -> AlgorithmRun {
     }
 }
 
-fn rebuilds() -> u64 {
+fn counter(name: &str) -> u64 {
     let counters = smartml_obs::snapshot().counters;
-    counters.iter().find(|(name, _)| name == "kbd.zcache.rebuilds").map_or(0, |(_, n)| *n)
+    counters.iter().find(|(n, _)| n == name).map_or(0, |(_, n)| *n)
+}
+
+fn rebuilds() -> u64 {
+    counter("kbd.zcache.rebuilds")
+}
+
+fn rows_finished() -> u64 {
+    counter("kbd.zindex.rows_finished")
 }
 
 #[test]
@@ -116,15 +124,22 @@ fn reads_allocate_for_the_reply_not_for_the_store() {
     assert!(largest >= RECORDS * N_META_FEATURES * 8, "largest allocation {largest} B");
     assert_eq!(rebuilds(), 1);
 
+    let finished = rows_finished();
     let (allocations, largest, steady) = measure(|| store.recommend(&query, None, &opts));
+    let finished = rows_finished() - finished;
     assert_eq!(steady, first);
+    // The scan's bound prunes: few rows are carried to a full distance.
+    assert!(finished < (RECORDS / 10) as u64, "a steady read finished {finished} rows");
     assert!(allocations < REPLY, "{allocations} allocations in a steady read");
     assert!(largest < SMALL, "a steady read allocated {largest} B at once");
     // Landmarkers are read per row, straight from the entries.
     let marks = Landmarkers { decision_stump: 0.6, nearest_centroid: 0.7 };
     let extended = QueryOptions { use_landmarkers: true, ..QueryOptions::default() };
+    let finished = rows_finished();
     let (allocations, largest, _) = measure(|| store.recommend(&query, Some(marks), &extended));
     assert!(allocations < REPLY && largest < SMALL, "{allocations} allocations, {largest} B");
+    // With landmarkers in the distance every row is finished.
+    assert_eq!(rows_finished() - finished, RECORDS as u64);
     assert_eq!(rebuilds(), 1, "reads do not rebuild");
 
     // A new dataset invalidates the z-scores. The first such rebuild may

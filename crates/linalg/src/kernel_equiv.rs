@@ -7,6 +7,9 @@
 //!   distance, Pearson sums) against the serial-order oracles.
 //! - **Bit-identity** for the order-preserving rewrites (covariance, the
 //!   blocked matmul) against the loops they replaced, via `to_bits`.
+//! - **Exact early exit** of `squared_distance_within`: it finishes
+//!   exactly when `squared_distance` is below the bound, and then with its
+//!   bits.
 //!
 //! verify.sh runs these under default codegen and `-C target-cpu=native`.
 
@@ -65,6 +68,27 @@ proptest! {
     fn squared_distance_close_to_serial_oracle((a, b) in vec_pair(200)) {
         let slow = kernels::scalar::squared_distance(&a, &b);
         prop_assert!((kernels::squared_distance(&a, &b) - slow).abs() <= reduction_tol(slow));
+    }
+
+    // The bounded kernel against the unbounded one, at every bound where
+    // the answer flips: 0, just below, at and just above the exact value,
+    // and +∞. Lengths cover every remainder and up to five chunks.
+    #[test]
+    fn squared_distance_within_is_exact((a, b) in vec_pair(40)) {
+        let exact = kernels::squared_distance(&a, &b);
+        let bounds = [0.0, exact.next_down(), exact, exact.next_up(), f64::INFINITY];
+        for bound in bounds {
+            match kernels::squared_distance_within(&a, &b, bound) {
+                Some(x) => {
+                    prop_assert_eq!(x.to_bits(), exact.to_bits(), "bound {}", bound);
+                    prop_assert!(exact < bound);
+                }
+                None => prop_assert!(exact >= bound, "gave up on {} under bound {}", exact, bound),
+            }
+        }
+        prop_assert!(kernels::squared_distance_within(&a, &b, f64::INFINITY).is_some());
+        prop_assert!(kernels::squared_distance_within(&a, &b, exact.next_up()).is_some());
+        prop_assert!(kernels::squared_distance_within(&a, &b, exact).is_none());
     }
 
     #[test]

@@ -28,6 +28,12 @@
 //!   [`momentum_update`]) perform one independent FP expression per element;
 //!   vectorizing them cannot change any result, so they are bit-identical
 //!   to the plain statements they replace by construction.
+//! - **Bounded kernel** ([`squared_distance_within`]) is
+//!   [`squared_distance`] with one compare per chunk that gives up once
+//!   the partial sum reaches a caller's bound; when it finishes, its
+//!   result has [`squared_distance`]'s bits. It is the only kernel with a
+//!   data-dependent branch, and the branch sits between chunks, not in
+//!   the lane loop.
 //!
 //! # Adding a kernel
 //!
@@ -98,6 +104,47 @@ pub fn squared_distance(a: &[f64], b: &[f64]) -> f64 {
         tail += d * d;
     }
     reduce8(acc) + tail
+}
+
+/// [`squared_distance`], abandoned once it cannot come in under `bound`:
+/// `None` when the squared distance is `>= bound`, otherwise `Some` of
+/// exactly [`squared_distance`]'s bits (`bound = +∞` gives `Some` for
+/// every finite distance).
+///
+/// Same chunks, lanes, reduction tree and tail as [`squared_distance`];
+/// after each chunk it gives up if `reduce8(acc) >= bound`. That partial
+/// reduction is a lower bound on the result: every term is `>= 0` and
+/// round-to-nearest addition is monotone, so each lane only grows,
+/// [`reduce8`] is monotone in each lane, and the tail adds a value
+/// `>= 0`. The early exit is therefore exact, never a guess.
+#[inline]
+pub fn squared_distance_within(a: &[f64], b: &[f64], bound: f64) -> Option<f64> {
+    debug_assert_eq!(a.len(), b.len(), "squared_distance_within length mismatch");
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let mut acc = [0.0f64; LANES];
+    let (ca, cb) = (a.chunks_exact(LANES), b.chunks_exact(LANES));
+    let (ra, rb) = (ca.remainder(), cb.remainder());
+    for (xa, xb) in ca.zip(cb) {
+        for l in 0..LANES {
+            let d = xa[l] - xb[l];
+            acc[l] += d * d;
+        }
+        if reduce8(acc) >= bound {
+            return None;
+        }
+    }
+    let mut tail = 0.0;
+    for (x, y) in ra.iter().zip(rb) {
+        let d = x - y;
+        tail += d * d;
+    }
+    let total = reduce8(acc) + tail;
+    if total >= bound {
+        None
+    } else {
+        Some(total)
+    }
 }
 
 /// Sum with lane-chunked accumulation.

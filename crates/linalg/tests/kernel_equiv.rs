@@ -117,6 +117,11 @@ fn codegen_invariant_bit_patterns() {
         0x40e5e56e31c1b14a,
         "squared_distance bits drifted"
     );
+    assert_eq!(
+        kernels::squared_distance_within(&a, &b, f64::INFINITY).map(f64::to_bits),
+        Some(0x40e5e56e31c1b14a),
+        "squared_distance_within bits drifted"
+    );
     assert_eq!(kernels::sum(&a).to_bits(), 0x402ec07bc43a88eb, "sum bits drifted");
     assert_eq!(
         kernels::sum_sq_dev(&a, 0.25).to_bits(),

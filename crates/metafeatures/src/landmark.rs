@@ -91,6 +91,8 @@ fn fit_predict_stump(data: &Dataset, train: &[usize], test: &[usize]) -> Vec<u32
         .collect()
 }
 
+/// Nearest-centroid predictions: class means of `x_train` kept in one
+/// flat `n_classes × d` buffer, each test row read in place.
 fn fit_predict_centroid(
     x_train: &Matrix,
     y_train: &[u32],
@@ -98,31 +100,31 @@ fn fit_predict_centroid(
     n_classes: usize,
 ) -> Vec<u32> {
     let d = x_train.cols();
-    let mut centroids = vec![vec![0.0; d]; n_classes];
+    let mut centroids = vec![0.0; n_classes * d];
     let mut counts = vec![0usize; n_classes];
     for r in 0..x_train.rows() {
         let c = y_train[r] as usize;
         counts[c] += 1;
-        for (j, v) in centroids[c].iter_mut().enumerate() {
-            *v += x_train[(r, j)];
+        for (v, &x) in centroids[c * d..(c + 1) * d].iter_mut().zip(x_train.row(r)) {
+            *v += x;
         }
     }
-    for (c, centroid) in centroids.iter_mut().enumerate() {
-        if counts[c] > 0 {
-            for v in centroid.iter_mut() {
-                *v /= counts[c] as f64;
+    for (c, &count) in counts.iter().enumerate() {
+        if count > 0 {
+            for v in &mut centroids[c * d..(c + 1) * d] {
+                *v /= count as f64;
             }
         }
     }
     (0..x_test.rows())
         .map(|r| {
-            let row: Vec<f64> = (0..d).map(|j| x_test[(r, j)]).collect();
+            let row = &x_test.row(r)[..d];
             let mut best = (0u32, f64::INFINITY);
-            for (c, centroid) in centroids.iter().enumerate() {
-                if counts[c] == 0 {
+            for (c, &count) in counts.iter().enumerate() {
+                if count == 0 {
                     continue;
                 }
-                let dist = vecops::euclidean_distance(&row, centroid);
+                let dist = vecops::euclidean_distance(row, &centroids[c * d..(c + 1) * d]);
                 if dist < best.1 {
                     best = (c as u32, dist);
                 }
@@ -132,9 +134,58 @@ fn fit_predict_centroid(
         .collect()
 }
 
+/// The per-row-`Vec` nearest-centroid predictor [`fit_predict_centroid`]
+/// replaced: the oracle it must match bit for bit.
+#[cfg(test)]
+mod oracle {
+    use smartml_linalg::{vecops, Matrix};
+
+    pub(super) fn fit_predict_centroid(
+        x_train: &Matrix,
+        y_train: &[u32],
+        x_test: &Matrix,
+        n_classes: usize,
+    ) -> Vec<u32> {
+        let d = x_train.cols();
+        let mut centroids = vec![vec![0.0; d]; n_classes];
+        let mut counts = vec![0usize; n_classes];
+        for r in 0..x_train.rows() {
+            let c = y_train[r] as usize;
+            counts[c] += 1;
+            for (j, v) in centroids[c].iter_mut().enumerate() {
+                *v += x_train[(r, j)];
+            }
+        }
+        for (c, centroid) in centroids.iter_mut().enumerate() {
+            if counts[c] > 0 {
+                for v in centroid.iter_mut() {
+                    *v /= counts[c] as f64;
+                }
+            }
+        }
+        (0..x_test.rows())
+            .map(|r| {
+                let row: Vec<f64> = (0..d).map(|j| x_test[(r, j)]).collect();
+                let mut best = (0u32, f64::INFINITY);
+                for (c, centroid) in centroids.iter().enumerate() {
+                    if counts[c] == 0 {
+                        continue;
+                    }
+                    let dist = vecops::euclidean_distance(&row, centroid);
+                    if dist < best.1 {
+                        best = (c as u32, dist);
+                    }
+                }
+                best.0
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use smartml_data::synth::{gaussian_blobs, two_spirals};
 
     #[test]
@@ -187,6 +238,32 @@ mod tests {
         let want = landmarkers(&filled, &rows).nearest_centroid;
         assert_eq!(got.to_bits(), want.to_bits(), "{got} vs {want}");
         assert_eq!(got, 1.0);
+    }
+
+    proptest! {
+        /// Flat centroids and in-place test rows pick the classes the
+        /// per-row-`Vec` predictor picked, ties and empty classes included.
+        #[test]
+        fn centroid_predictions_match_the_per_row_oracle(
+            (d, train, test, labels) in (1..6usize, 1..30usize, 0..30usize).prop_flat_map(|(d, n, m)| (
+                Just(d),
+                prop::collection::vec(-4i32..5, n * d..=n * d),
+                prop::collection::vec(-4i32..5, m * d..=m * d),
+                prop::collection::vec(0u32..4, n..=n),
+            ))
+        ) {
+            // Small integer grid values: duplicate rows and equidistant
+            // centroids are common, and class 4 never has a row.
+            let matrix = |cells: &[i32]| {
+                let data = cells.iter().map(|&v| v as f64 * 0.5).collect::<Vec<_>>();
+                Matrix::from_vec(cells.len() / d, d, data)
+            };
+            let (x_train, x_test) = (matrix(&train), matrix(&test));
+            prop_assert_eq!(
+                fit_predict_centroid(&x_train, &labels, &x_test, 5),
+                oracle::fit_predict_centroid(&x_train, &labels, &x_test, 5)
+            );
+        }
     }
 
     #[test]

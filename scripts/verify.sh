@@ -338,5 +338,9 @@ cargo test -q --offline -p smartml-linalg --lib --test kernel_equiv
 # default-codegen build cache.
 CARGO_TARGET_DIR=target/native-verify RUSTFLAGS="-C target-cpu=native" \
   cargo test -q --offline -p smartml-linalg --lib --test kernel_equiv
+# The bounded distance kernel is inlined into the z-index scan, so that
+# crate's scan proptests run under the same codegen.
+CARGO_TARGET_DIR=target/native-verify RUSTFLAGS="-C target-cpu=native" \
+  cargo test -q --offline -p smartml-kb --lib index::
 
 echo "verify: OK"
